@@ -16,7 +16,7 @@ from ..core.stages import ShardedStage
 from ..core.types import ALL_TYPES, PartitionType, ShardedWorkload
 from ..hardware.accelerator import AcceleratorGroup
 from ..hardware.profile import HardwareProfile
-from ..plan.backends import get_backend
+from ..plan.backends import EXACT_BACKEND, get_backend
 from ..plan.ir import LevelPlan
 
 
@@ -36,7 +36,7 @@ class FixedTypeScheme:
         self,
         name: str,
         type_fn: Callable[[ShardedWorkload], PartitionType],
-        backend: str = "dp",
+        backend: str = EXACT_BACKEND,
         profile: Optional[HardwareProfile] = None,
     ):
         self.name = name
@@ -66,7 +66,7 @@ class FixedTypeScheme:
 class DataParallelScheme(FixedTypeScheme):
     """All layers Type-I (batch partitioning), ratio 1/2."""
 
-    def __init__(self, backend: str = "dp",
+    def __init__(self, backend: str = EXACT_BACKEND,
                  profile: Optional[HardwareProfile] = None) -> None:
         super().__init__("dp", lambda w: PartitionType.TYPE_I, backend=backend,
                          profile=profile)

@@ -23,7 +23,7 @@ from ..core.stages import ShardedStage, flatten_to_chain
 from ..core.types import HYPAR_TYPES
 from ..hardware.accelerator import AcceleratorGroup
 from ..hardware.profile import HardwareProfile
-from ..plan.backends import get_backend
+from ..plan.backends import EXACT_BACKEND, get_backend
 from ..plan.ir import LevelPlan
 
 
@@ -36,7 +36,7 @@ class HyParScheme:
     but the search itself stays profile-independent by design.
     """
 
-    def __init__(self, backend: str = "dp",
+    def __init__(self, backend: str = EXACT_BACKEND,
                  profile: Optional[HardwareProfile] = None) -> None:
         self.name = "hypar"
         self.backend = backend

@@ -13,13 +13,14 @@ from typing import Optional
 
 from ..core.types import PartitionType
 from ..hardware.profile import HardwareProfile
+from ..plan.backends import EXACT_BACKEND
 from .data_parallel import FixedTypeScheme
 
 
 class OwtScheme(FixedTypeScheme):
     """CONV → Type-I (data parallel); FC → Type-II (model parallel)."""
 
-    def __init__(self, backend: str = "dp",
+    def __init__(self, backend: str = EXACT_BACKEND,
                  profile: Optional[HardwareProfile] = None) -> None:
         super().__init__(
             "owt",

@@ -225,10 +225,9 @@ class PairCostModel:
             raise ValueError("dtype_bytes must be positive")
         self.party_i = party_i
         self.party_j = party_j
+        # the analytic profile is just the calibrated arithmetic at peak
+        # rates, size-independent bandwidth and zero latency
         self.profile = ANALYTIC if profile is None else profile
-        # the analytic flag picks the historical arithmetic verbatim on the
-        # hot paths (and keeps them bit-identical to the pre-profile code)
-        self._analytic = bool(getattr(self.profile, "is_analytic", False))
         self.c_i = self.profile.compute_rate(party_i)
         self.c_j = self.profile.compute_rate(party_j)
         self.b_i = party_i.network_bandwidth
@@ -240,12 +239,8 @@ class PairCostModel:
         self.stats = StepStats()
         self._step_cache: dict = {}
         self._boundary_cache: dict = {}
-        if self._analytic:
-            self._lat_i = 0.0
-            self._lat_j = 0.0
-        else:
-            self._lat_i = self.profile.transfer_latency_s(party_i)
-            self._lat_j = self.profile.transfer_latency_s(party_j)
+        self._lat_i = self.profile.transfer_latency_s(party_i)
+        self._lat_j = self.profile.transfer_latency_s(party_j)
         # per-kind effective compute rates and per-size effective bandwidths
         # are profile lookups; one dict per party keeps them O(1) on the
         # step hot path
@@ -269,7 +264,7 @@ class PairCostModel:
             self.dtype_bytes,
             self.ratio_mode,
             self.closed_form,
-            None if self._analytic else self.profile.fingerprint(),
+            self.profile.fingerprint(),
         )
 
     def nominal_alpha(self) -> float:
@@ -363,78 +358,14 @@ class PairCostModel:
     def _pack_closed_form(self, workloads: Sequence[ShardedWorkload]) -> Tuple:
         """Balanced-mode packing: batched :meth:`_poly_parts` + batched Eq. 10.
 
-        Mirrors :meth:`_step_closed_form` coefficient-for-coefficient, just
-        over arrays: the base polynomial per (layer, type), the α·β cross
-        term on the cross row, the boundary-move shift on the move row.
-        Calibrated profiles route through
-        :meth:`_pack_closed_form_profiled`, which mirrors the profiled
-        scalar arithmetic the same way.
-        """
-        if not self._analytic:
-            return self._pack_closed_form_profiled(workloads)
-        import numpy as np
-
-        n = len(workloads)
-        total = np.empty(n)
-        a_in = np.empty(n)
-        psum = np.empty((n, len(ALL_TYPES)))
-        for row, sw in enumerate(workloads):
-            total[row] = sw.flops_total()
-            a_in[row] = sw.a_input_fm()
-            for col, t in enumerate(ALL_TYPES):
-                psum[row, col] = sw.a_psum(t)
-
-        dtype_bytes = float(self.dtype_bytes)
-        intra = psum * dtype_bytes
-        shape = (n, len(ALL_TYPES))
-        base_ci = psum / self.c_i + intra / self.b_i
-        base_li = np.broadcast_to((total / self.c_i)[:, None], shape)
-        base_cj = (total[:, None] + psum) / self.c_j + intra / self.b_j
-        base_lj = np.broadcast_to((-total / self.c_j)[:, None], shape)
-        zero = np.zeros(shape)
-
-        cross = 2.0 * a_in * dtype_bytes
-        cross_qi = np.broadcast_to((cross / self.b_i)[:, None], shape)
-        cross_qj = np.broadcast_to((cross / self.b_j)[:, None], shape)
-
-        move = a_in * dtype_bytes
-        move_bi = (move / self.b_i)[:, None]
-        move_ci = base_ci + move_bi
-        move_li = base_li - move_bi
-        move_lj = base_lj + (move / self.b_j)[:, None]
-
-        # family axis rows: 0 = zero, 1 = cross, 2 = move (PACKED_FAMILY_INDEX)
-        const_i = np.stack([base_ci, base_ci, move_ci], axis=1)
-        lin_i = np.stack([base_li, base_li, move_li], axis=1)
-        quad_i = np.stack([zero, cross_qi, zero], axis=1)
-        const_j = np.stack([base_cj, base_cj, base_cj], axis=1)
-        lin_j = np.stack([base_lj, base_lj, move_lj], axis=1)
-        quad_j = np.stack([zero, cross_qj, zero], axis=1)
-
-        alpha, counts = solve_balanced_ratio_poly_batch(
-            const_i, lin_i, quad_i, const_j, lin_j, quad_j
-        )
-        stats = self.stats
-        stats.ratio_solves += alpha.size
-        stats.ratio_closed_linear += counts[PATH_LINEAR]
-        stats.ratio_closed_quadratic += counts[PATH_QUADRATIC]
-        stats.ratio_bisection_fallback += counts[PATH_BISECTION]
-        stats.ratio_minimax += counts[PATH_MINIMAX]
-
-        ab = alpha * (1.0 - alpha)
-        cost_i = const_i + lin_i * alpha + quad_i * ab
-        cost_j = const_j + lin_j * alpha + quad_j * ab
-        return np.where(cost_i >= cost_j, cost_i, cost_j), alpha
-
-    def _pack_closed_form_profiled(self, workloads: Sequence[ShardedWorkload]) -> Tuple:
-        """Calibrated-profile packing, bit-identical to the profiled scalar step.
-
-        Mirrors the profiled branch of :meth:`_poly_parts` elementwise with
-        the exact scalar operation order: per-kind compute rates, per-size
-        effective bandwidths (looked up through the same memoized
-        ``_bw_i``/``_bw_j`` scalars the step path uses), and latency
-        constants masked to nonzero transfers (adding ``+0.0`` elsewhere,
-        which is bitwise identity on the non-negative costs).
+        Mirrors :meth:`_poly_parts` elementwise with the exact scalar
+        operation order — the base polynomial per (layer, type), the α·β
+        cross term on the cross row, the boundary-move shift on the move
+        row — using per-kind compute rates, per-size effective bandwidths
+        (looked up through the same memoized ``_bw_i``/``_bw_j`` scalars
+        the step path uses), and latency constants masked to nonzero
+        transfers (adding ``+0.0`` elsewhere, which is bitwise identity on
+        the non-negative costs).
         """
         import numpy as np
 
@@ -549,12 +480,10 @@ class PairCostModel:
     def intra_costs(self, sw: ShardedWorkload, ptype: PartitionType) -> Tuple[float, float]:
         """Table 4 per party; independent of α by construction.
 
-        Calibrated profiles derate the bandwidth at the transfer's size and
-        charge the per-transfer latency constant when the exchange happens.
+        The profile derates the bandwidth at the transfer's size and charges
+        its per-transfer latency constant when the exchange happens.
         """
         amount = sw.a_psum(ptype) * self.dtype_bytes
-        if self._analytic:
-            return amount / self.b_i, amount / self.b_j
         if amount <= 0:
             return 0.0, 0.0
         return (
@@ -571,7 +500,7 @@ class PairCostModel:
     ) -> Tuple[float, float]:
         """Table 5 per party; zero for the first layer (no predecessor).
 
-        Calibrated profiles evaluate the bandwidth-efficiency curve at the
+        The profile's bandwidth-efficiency curve is evaluated at the
         transition's α-independent base tensor size (the full boundary
         tensor for moves, both boundary tensors for cross re-alignments) so
         this stays consistent with :meth:`step_poly` at every α, and add
@@ -582,11 +511,6 @@ class PairCostModel:
         amount_i, amount_j = inter_layer_elements(
             boundary_fm_elements, prev_type, cur_type, alpha
         )
-        if self._analytic:
-            return (
-                amount_i * self.dtype_bytes / self.b_i,
-                amount_j * self.dtype_bytes / self.b_j,
-            )
         family = transition_family(prev_type, cur_type)
         if family == FAMILY_ZERO or boundary_fm_elements <= 0:
             return 0.0, 0.0
@@ -629,40 +553,16 @@ class PairCostModel:
         split the balanced cost into compute and communication shares;
         returning them avoids a second pair of lookups on the hot path.
 
-        Under a calibrated profile the compute density is per op kind, each
+        The compute density is the profile's per-op-kind rate, each
         transfer's bandwidth is the efficiency-derated one at the transfer's
         α-independent base size, and every nonzero transfer adds the
-        per-transfer latency constant to both parties' *constant* terms —
+        profile's per-transfer latency constant to both parties' *constant* terms —
         affine in α, so the Eq. 10 closed forms (and their bisection
         fallback, which evaluates this same polynomial) apply unchanged.
         """
         total = sw.flops_total()
         psum = sw.a_psum(cur_type)
         intra = psum * self.dtype_bytes
-        if self._analytic:
-            const_i = psum / self.c_i + intra / self.b_i
-            lin_i = total / self.c_i
-            quad_i = 0.0
-            const_j = (total + psum) / self.c_j + intra / self.b_j
-            lin_j = -total / self.c_j
-            quad_j = 0.0
-            if prev_type is not None:
-                if family is None:
-                    family = transition_family(prev_type, cur_type)
-                if family == FAMILY_CROSS:
-                    cross = 2.0 * sw.a_input_fm() * self.dtype_bytes
-                    quad_i = cross / self.b_i
-                    quad_j = cross / self.b_j
-                elif family in (FAMILY_F, FAMILY_E):
-                    move = sw.a_input_fm() * self.dtype_bytes
-                    const_i += move / self.b_i
-                    lin_i -= move / self.b_i
-                    lin_j += move / self.b_j
-            return (
-                PairCostPoly(const_i, lin_i, quad_i, const_j, lin_j, quad_j),
-                total,
-                psum,
-            )
         kind = self._kind(sw)
         c_i = self._rate_i(kind)
         c_j = self._rate_j(kind)

@@ -7,15 +7,15 @@ Two layers, matched to where the cost is paid:
   attributes directly (no locks, no dict lookups), so counting adds nothing
   measurable to the hot path.
 * :class:`~repro.obs.registry.PerfCounters` — a thread-safe named-counter
-  registry, now living in the unified observability registry
-  (:mod:`repro.obs.registry`) and re-exported here so the historical
-  import path keeps working.  The process-wide :data:`planner_counters`
-  instance aggregates every search: schemes merge their model's
-  :class:`StepStats` into it after each level plan, and the coarser events
-  (hierarchy memo hits, multipath path DPs) increment it directly.  The
-  plan service folds a snapshot into its ``stats``/``service-stats``
-  output, and ``repro service-stats --format prometheus`` renders the
-  same names as ``repro_planner_<name>_total`` series.
+  registry in the unified observability registry
+  (:mod:`repro.obs.registry`).  The process-wide :data:`planner_counters`
+  instance (re-exported here) aggregates every search: schemes merge
+  their model's :class:`StepStats` into it after each level plan, and the
+  coarser events (hierarchy memo hits, multipath path DPs) increment it
+  directly.  The plan service folds a snapshot into its
+  ``stats``/``service-stats`` output, and ``repro service-stats --format
+  prometheus`` renders the same names as ``repro_planner_<name>_total``
+  series.
 
 Counter names (all monotonic; the canonical list is
 :data:`repro.obs.registry.PLANNER_COUNTER_NAMES`):
@@ -52,9 +52,9 @@ from __future__ import annotations
 
 from typing import Dict
 
-from ..obs.registry import PerfCounters, planner_counters
+from ..obs.registry import planner_counters
 
-__all__ = ["StepStats", "PerfCounters", "planner_counters"]
+__all__ = ["StepStats", "planner_counters"]
 
 
 class StepStats:

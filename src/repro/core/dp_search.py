@@ -13,6 +13,10 @@ also makes back-to-back residual blocks (ResNet) work without special cases.
 
 Complexity is O(N · |T|²) for N weighted layers — the paper's reduction from
 the O(3^N) brute force (validated against :mod:`repro.core.brute_force`).
+
+This scalar kernel is the readable reference (the ``dp`` backend) and the
+oracle of the equivalence suites; production exact searches run on
+:mod:`repro.core.dp_vectorized`, which must match it bit for bit.
 """
 
 from __future__ import annotations

@@ -27,7 +27,7 @@ from ..graph.network import Network
 from ..hardware.accelerator import AcceleratorGroup
 from ..hardware.cluster import GroupNode, bisection_tree, max_hierarchy_levels
 from ..hardware.profile import HardwareProfile
-from ..plan.backends import canonical_backend_name, get_backend
+from ..plan.backends import EXACT_BACKEND, canonical_backend_name, get_backend
 from ..plan.ir import HierarchicalPlan, LevelPlan
 from .cost_model import PairCostModel
 from .counters import planner_counters
@@ -43,7 +43,8 @@ class AccParScheme:
     (restricting to {Type-I, Type-II} isolates the value of Type-III;
     ``ratio_mode="equal"`` isolates the value of flexible ratios).
     ``backend`` names the search algorithm in the
-    :mod:`repro.plan.backends` registry; the default is the exact DP.
+    :mod:`repro.plan.backends` registry; the default is the exact DP
+    (:data:`~repro.plan.backends.EXACT_BACKEND`).
     """
 
     def __init__(
@@ -53,7 +54,7 @@ class AccParScheme:
         name: str = "accpar",
         closed_form: bool = True,
         memoize: bool = True,
-        backend: str = "dp",
+        backend: str = EXACT_BACKEND,
         profile: Optional[HardwareProfile] = None,
     ):
         self.space = tuple(space)
@@ -277,7 +278,7 @@ class Planner:
                 "batch": batch,
                 "scheme": self.scheme.name,
                 "backend": canonical_backend_name(
-                    getattr(self.scheme, "backend", "dp")),
+                    getattr(self.scheme, "backend", EXACT_BACKEND)),
                 "levels": levels,
                 "elapsed_ms": round((perf_counter() - started) * 1e3, 3),
                 "counters": delta,

@@ -143,7 +143,7 @@ def layer_type_sensitivity(planned: PlannedExecution) -> List[WhatIfRow]:
     Answers "how much does this layer's decision matter?" — a flat row
     means the layer is insensitive; a steep one explains the plan.
     """
-    from ..core.dp_search import search_stages
+    from ..core.dp_vectorized import search_stages_vectorized
     from ..core.types import ALL_TYPES
 
     if planned.plan.level_plan is None:
@@ -161,7 +161,7 @@ def layer_type_sensitivity(planned: PlannedExecution) -> List[WhatIfRow]:
     for target in chosen:
         costs: Dict[PartitionType, float] = {}
         for forced in ALL_TYPES:
-            result = search_stages(
+            result = search_stages_vectorized(
                 planned.stages,
                 model,
                 space_fn=lambda w, t=forced, n=target: (

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.cost_model import PairCostModel
-from ..core.dp_search import search_stages
+from ..core.dp_vectorized import search_stages_vectorized
 from ..core.stages import ShardedLayerStage, ShardedStage
 from ..core.types import ALL_TYPES, PartitionType
 
@@ -81,7 +81,7 @@ def enumerate_landscape(
         costs.append((combo, total))
     costs.sort(key=lambda entry: entry[1])
 
-    dp = search_stages(list(stages), model)
+    dp = search_stages_vectorized(list(stages), model)
     return CostLandscape(
         layer_names=[s.name for s in chain],
         costs=costs,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .accelerator import AcceleratorGroup, AcceleratorSpec
-from .profile import HardwareProfile
+from .profile import ANALYTIC, HardwareProfile
 
 
 @dataclass
@@ -116,13 +116,12 @@ _DEPTH_CACHE: Dict[Tuple[AcceleratorSpec, ...], int] = {}
 def _member_order_key(profile: Optional[HardwareProfile]):
     """Sort key: descending *effective* compute density, name-stable.
 
-    With no profile (or the analytic one) the key is the historical
-    ``(-peak flops, name)``; a calibrated profile sorts by its per-spec
-    effective default rate instead, so the pairing tree's fast/slow
-    boundary reflects measured throughput.
+    The key is ``(-profile rate, name)``.  With no profile (or the analytic
+    one) the rate is the peak datasheet flops; a calibrated profile sorts
+    by its per-spec effective default rate instead, so the pairing tree's
+    fast/slow boundary reflects measured throughput.
     """
-    if profile is None or getattr(profile, "is_analytic", False):
-        return lambda m: (-m.flops, m.name)
+    profile = ANALYTIC if profile is None else profile
     return lambda m: (-profile.spec_compute_rate(m), m.name)
 
 

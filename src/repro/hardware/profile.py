@@ -48,6 +48,9 @@ PROFILE_SCHEMA = "repro.hardware.profile/v1"
 #: the op-kind fallback: a profile must always answer this kind
 DEFAULT_KIND = "default"
 
+#: the analytic profile's fingerprint: stateless, so digested once at import
+ANALYTIC_FINGERPRINT = stable_digest({"schema": PROFILE_SCHEMA, "kind": "analytic"})
+
 
 class ProfileError(ValueError):
     """Malformed profile document or fit input."""
@@ -161,7 +164,7 @@ class AnalyticProfile:
         """Peak rates exist for every spec; nothing to check."""
 
     def fingerprint(self) -> str:
-        return stable_digest({"schema": PROFILE_SCHEMA, "kind": "analytic"})
+        return ANALYTIC_FINGERPRINT
 
     def __repr__(self) -> str:
         return "AnalyticProfile()"

@@ -3,10 +3,8 @@
 Before this module existed the repo had two disjoint metric islands —
 ``repro.service.metrics`` (request counters + latency histograms) and
 ``repro.core.counters`` (planner search-work counters).  Both now live
-here; the old modules are thin re-export shims, so every historical import
-path (``from repro.service.metrics import MetricsRegistry``, ``from
-repro.core.counters import planner_counters``) still resolves to the same
-objects.
+here; ``repro.core.counters`` keeps only the per-model ``StepStats`` and
+re-exports the process-wide :data:`planner_counters`.
 
 Everything is dependency-free (no prometheus client in the image), but
 :func:`render_prometheus` emits standard `text exposition format

@@ -46,7 +46,12 @@ class SearchBackend(Protocol):
 
 
 class DpSearchBackend:
-    """The paper's layer-wise DP (Eq. 9): exact, multi-path aware, O(N·|T|²)."""
+    """The paper's layer-wise DP (Eq. 9): exact, multi-path aware, O(N·|T|²).
+
+    The readable scalar reference.  No production path runs it: every exact
+    search goes through ``dp-vectorized``, and the equivalence suites and
+    benches compare against this one — if the two disagree, trust ``dp``.
+    """
 
     name = "dp"
 
@@ -59,11 +64,13 @@ class DpSearchBackend:
 class DpVectorizedSearchBackend:
     """The Eq. 9 DP as batched numpy min-plus over packed cost tensors.
 
-    Bit-identical plans to ``dp`` (asserted by the plan-equivalence CI job
-    and the randomized property suite) at a fraction of the latency: step
-    costs are precomputed as dense (layer, family, type) tensors — cached
-    across searches — and the recurrence plus fork/join macro-stages run
-    as broadcast array ops.  See ``docs/performance.md``.
+    The kernel behind every exact search (:data:`EXACT_BACKEND`, the
+    ``accpar``/``exact`` aliases).  Bit-identical plans to ``dp`` (asserted
+    by the plan-equivalence CI job and the randomized property suite) at a
+    fraction of the latency: step costs are precomputed as dense (layer,
+    family, type) tensors — cached across searches — and the recurrence
+    plus fork/join macro-stages run as broadcast array ops.  See
+    ``docs/performance.md``.
     """
 
     name = "dp-vectorized"
@@ -124,14 +131,18 @@ class FixedTypeSearchBackend:
         self.type_fn = type_fn
 
     def search(self, stages, model, space=ALL_TYPES, space_fn=None) -> SearchResult:
-        from ..core.dp_search import search_stages
+        from ..core.dp_vectorized import search_stages_vectorized
 
         fn = space_fn
         if fn is None:
             type_fn = self.type_fn or (lambda w: PartitionType.TYPE_I)
             fn = lambda w: (type_fn(w),)
-        return search_stages(list(stages), model, space, space_fn=fn)
+        return search_stages_vectorized(list(stages), model, space, space_fn=fn)
 
+
+#: the backend every scheme searches with by default: the exact Eq. 9 DP
+#: kernel used in production (``dp`` is its scalar test oracle)
+EXACT_BACKEND = "dp-vectorized"
 
 #: canonical name → zero-argument factory
 _REGISTRY: Dict[str, Callable[[], SearchBackend]] = {}
@@ -177,9 +188,10 @@ def available_backends() -> List[str]:
     return sorted(_REGISTRY)
 
 
-register_backend("dp", DpSearchBackend, aliases=("accpar", "exact"))
+register_backend("dp", DpSearchBackend)
 register_backend("dp-vectorized", DpVectorizedSearchBackend,
-                 aliases=("dp_vectorized", "dpv", "vectorized"))
+                 aliases=("accpar", "exact", "dp_vectorized", "dpv",
+                          "vectorized"))
 register_backend("greedy", GreedySearchBackend)
 register_backend("brute-force", BruteForceSearchBackend,
                  aliases=("brute_force", "bruteforce"))

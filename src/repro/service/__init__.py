@@ -18,9 +18,9 @@ See docs/serving.md for the architecture and the fingerprint stability
 contract.
 """
 
+from ..obs.registry import Counter, LatencyHistogram, MetricsRegistry
 from .cache import CacheStats, PlanCache
 from .fingerprint import REQUEST_SCHEMA_VERSION, PlanRequest
-from .metrics import Counter, LatencyHistogram, MetricsRegistry
 from .server import serve_loop, warm_cache
 from .service import PlanResponse, PlanService, build_scheme
 from .singleflight import SingleFlight

@@ -15,7 +15,7 @@ Request lifecycle (:meth:`PlanService.plan`):
    *next* request gets the exact plan.
 
 Distinct fingerprints run concurrently across the pool; identical ones never
-plan twice.  All counters land in a :class:`~repro.service.metrics.MetricsRegistry`.
+plan twice.  All counters land in a :class:`~repro.obs.registry.MetricsRegistry`.
 """
 
 from __future__ import annotations
@@ -38,12 +38,11 @@ from ..graph.network import Network
 from ..plan.backends import get_backend
 from ..obs import telemetry as telemetry_store
 from ..obs.logging import get_logger, slow_request_threshold_s
-from ..obs.registry import render_prometheus
+from ..obs.registry import MetricsRegistry, render_prometheus
 from ..obs.slo import SLOTracker, render_slo_lines
 from ..obs.tracing import new_trace_id, tracer
 from .cache import PlanCache
 from .fingerprint import PlanRequest
-from .metrics import MetricsRegistry
 from .singleflight import SingleFlight
 
 log = get_logger("repro.service")

@@ -42,8 +42,8 @@ class TestRegistry:
         ]
 
     def test_aliases_resolve_to_canonical(self):
-        assert get_backend("accpar").name == "dp"
-        assert get_backend("exact").name == "dp"
+        assert get_backend("accpar").name == "dp-vectorized"
+        assert get_backend("exact").name == "dp-vectorized"
         assert get_backend("dp_vectorized").name == "dp-vectorized"
         assert get_backend("dpv").name == "dp-vectorized"
         assert get_backend("vectorized").name == "dp-vectorized"
@@ -59,7 +59,7 @@ class TestRegistry:
     def test_canonical_backend_name(self):
         assert canonical_backend_name("dp") == "dp"
         assert canonical_backend_name("DPV") == "dp-vectorized"
-        assert canonical_backend_name("exact") == "dp"
+        assert canonical_backend_name("exact") == "dp-vectorized"
         with pytest.raises(KeyError, match="unknown search backend"):
             canonical_backend_name("simulated-annealing")
 

@@ -311,7 +311,7 @@ class TestProfileCommand:
         assert code == 0
         out = capsys.readouterr().out
         assert "planner profile (lenet)" in out
-        assert "dp.stage" in out and "ratio.solve" in out
+        assert "dpv.search" in out
         assert "planner trace written" in out
 
         document = json.loads(trace.read_text())
@@ -319,7 +319,7 @@ class TestProfileCommand:
         assert events
         for key in REQUIRED_EVENT_KEYS:
             assert all(key in event for event in events), key
-        assert {e["name"] for e in events} >= {"hierarchy.plan", "dp.search"}
+        assert {e["name"] for e in events} >= {"hierarchy.plan", "dpv.search"}
         # profiling must not leave the process-wide tracer enabled
         assert not tracer.enabled
 

@@ -1,12 +1,10 @@
-"""Unified metrics registry: histograms, counters, shims, Prometheus text."""
+"""Unified metrics registry: histograms, counters, Prometheus text."""
 
 import random
 import re
 
 import pytest
 
-import repro.core.counters as counters_shim
-import repro.service.metrics as metrics_shim
 from repro.obs.registry import (
     PLANNER_COUNTER_NAMES,
     SERVICE_COUNTER_NAMES,
@@ -15,7 +13,6 @@ from repro.obs.registry import (
     LatencyHistogram,
     MetricsRegistry,
     PerfCounters,
-    planner_counters,
     render_prometheus,
 )
 
@@ -197,19 +194,6 @@ class TestCountersAndRegistry:
             perf.inc("step_calls", -1)
         perf.reset()
         assert perf.snapshot() == {}
-
-
-class TestImportShims:
-    """Historical import paths must resolve to the unified objects."""
-
-    def test_service_metrics_shim(self):
-        assert metrics_shim.Counter is Counter
-        assert metrics_shim.LatencyHistogram is LatencyHistogram
-        assert metrics_shim.MetricsRegistry is MetricsRegistry
-
-    def test_core_counters_shim(self):
-        assert counters_shim.PerfCounters is PerfCounters
-        assert counters_shim.planner_counters is planner_counters
 
 
 class TestPrometheusRendering:

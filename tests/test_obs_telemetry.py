@@ -176,7 +176,7 @@ class TestProducers:
         event = events[0]
         assert event["model"] == "lenet"
         assert event["scheme"] == "accpar"
-        assert event["backend"] == "dp"
+        assert event["backend"] == "dp-vectorized"
         assert event["elapsed_ms"] >= 0
         # the counter delta carries real search work
         assert sum(event["counters"].values()) > 0

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.cost_model import PairCostModel
 from repro.core.dp_search import search_stages
-from repro.core.planner import AccParPlanner
+from repro.core.planner import AccParScheme, Planner
 from repro.core.stages import to_sharded_stages
 from repro.hardware import heterogeneous_array
 from repro.hardware.cluster import bisection_tree
@@ -35,8 +35,11 @@ def array():
     return heterogeneous_array(2, 2)
 
 
-def plan_spans(enabled_tracer, array, model="lenet", batch=32):
-    AccParPlanner(array).plan(build_model(model), batch)
+def plan_spans(enabled_tracer, array, model="lenet", batch=32, backend="dp"):
+    """Spans of one plan; the default backend is the scalar ``dp`` kernel,
+    whose span tree (dp.stage / ratio.solve / multipath.path_dp) is the
+    fine-grained one these tests pin."""
+    Planner(array, AccParScheme(backend=backend)).plan(build_model(model), batch)
     return enabled_tracer.drain()
 
 
@@ -179,6 +182,17 @@ class TestPlannerSpanTree:
         assert {"hierarchy.plan", "dp.search", "dp.stage",
                 "ratio.solve"} <= names
 
+    def test_default_kernel_spans_nest_under_hierarchy(self, enabled_tracer,
+                                                        array):
+        spans = plan_spans(enabled_tracer, array,
+                           backend=AccParScheme().backend)
+        index = {s.span_id: s for s in spans}
+        searches = [s for s in spans if s.name == "dpv.search"]
+        assert searches
+        assert all(index[s.parent_id].name == "hierarchy.plan"
+                   for s in searches)
+        assert not any(s.name == "dp.search" for s in spans)
+
     def test_hierarchy_recursion_nests(self, enabled_tracer, array):
         spans = plan_spans(enabled_tracer, array)
         index = {s.span_id: s for s in spans}
@@ -298,6 +312,6 @@ class TestServiceTracing:
             response = service.plan(request)
             service.drain()
         spans = enabled_tracer.drain()
-        dp_spans = [s for s in spans if s.name == "dp.search"]
+        dp_spans = [s for s in spans if s.name == "dpv.search"]
         assert dp_spans
         assert all(s.trace_id == response.trace_id for s in dp_spans)
