@@ -62,10 +62,15 @@ from ..obs.registry import MetricsRegistry
 from ..obs.slo import SLOTracker
 from ..obs.tracing import new_trace_id, tracer
 from ..service.server import (
-    KNOWN_OPS,
     MAX_REQUEST_BYTES,
+    answer_doc,
+    answer_line,
+    deadline_from_doc,
     is_shutdown_ack,
+    refusal,
     request_from_doc,
+    serve_lines,
+    too_large,
 )
 from .admission import ADMIT, DEGRADE, AdmissionController, Decision
 from .health import HealthMonitor
@@ -80,7 +85,6 @@ from .ring import HashRing
 from .wire import (
     FrameError,
     FrameTooLarge,
-    MAX_REQUEST_FRAME_BYTES,
     MAX_RESPONSE_FRAME_BYTES,
     looks_like_v1,
     negotiate,
@@ -90,36 +94,6 @@ from .wire import (
 
 log = get_logger("repro.fleet.frontend")
 
-#: ops the frontend answers (v2 frames; v1 lines accept the overlap with
-#: the single-process protocol: plan / stats / shutdown, plus plan_batch)
-FRONTEND_OPS = ("hello", "ping", "plan", "plan_batch", "warm", "stats",
-                "fleet_stats", "trace", "shutdown")
-
-#: every fixed-name counter the frontend increments; enumerated for docs
-#: and tests (the per-reason ``retries_<reason>`` / ``failover_<reason>``
-#: counters appear dynamically, suffixed by :func:`repro.fleet.retry.classify`)
-FLEET_COUNTER_NAMES = (
-    "items",
-    "batches",
-    "admitted",
-    "degraded_pressure",
-    "shed_deadline",
-    "shed_queue_full",
-    "shed_late",
-    "routed",
-    "route_errors",
-    "warm_items",
-    "replicated_puts",
-    "v1_lines",
-    "retries_total",
-    "failover_total",
-    "dispatch_timeouts",
-    "heartbeats",
-    "heartbeat_failures",
-    "shard_marked_down",
-    "shard_marked_up",
-)
-
 #: extra headroom past an item's deadline before a dispatched request is
 #: abandoned: the owning shard enforces the deadline itself (fallback
 #: plans), so the frontend only cuts genuinely wedged shards loose
@@ -127,6 +101,13 @@ DISPATCH_GRACE_S = 0.25
 
 #: one batch may carry at most this many specs
 MAX_BATCH_ITEMS = 1024
+
+
+def _close_writer(writer: asyncio.StreamWriter) -> None:
+    try:
+        writer.close()
+    except RuntimeError:  # loop already closing
+        pass
 
 
 class ShardUnavailable(RuntimeError):
@@ -149,10 +130,7 @@ class _ShardLink:
         return reply
 
     def close(self) -> None:
-        try:
-            self.writer.close()
-        except RuntimeError:  # loop already closing
-            pass
+        _close_writer(self.writer)
 
 
 class _ShardPool:
@@ -375,7 +353,7 @@ class FleetFrontend:
         }
         server = await asyncio.start_server(
             self._handle_connection, self._host, self._requested_port,
-            limit=MAX_REQUEST_FRAME_BYTES + 1024)
+            limit=MAX_REQUEST_BYTES + 1024)
         self.host, self.port = server.sockets[0].getsockname()[:2]
         dispatchers = [
             asyncio.ensure_future(self._dispatcher())
@@ -413,31 +391,26 @@ class FleetFrontend:
         except asyncio.CancelledError:
             return  # loop teardown cancels idle connection handlers
         finally:
-            try:
-                writer.close()
-            except RuntimeError:
-                pass
+            _close_writer(writer)
 
     async def _serve_v2_connection(self, prefix: bytes,
                                    reader: asyncio.StreamReader,
                                    writer: asyncio.StreamWriter) -> None:
         while True:
             try:
-                doc = await read_frame(reader, MAX_REQUEST_FRAME_BYTES,
+                doc = await read_frame(reader, MAX_REQUEST_BYTES,
                                        prefix=prefix)
             except FrameTooLarge as exc:
-                await write_frame(writer, {
-                    "ok": False, "error": "request too large",
-                    "limit_bytes": exc.limit, "got_bytes": exc.declared})
+                await write_frame(writer, too_large(exc.declared))
                 return  # stream desynchronized past a refused frame
             except FrameError:
                 return
             prefix = b""
             if doc is None:
                 return
-            reply, stop = await self._handle_op(doc)
+            reply = await answer_doc(self, doc, FRONTEND_OPS)
             await write_frame(writer, reply)
-            if stop:
+            if is_shutdown_ack(reply):
                 self._stop_event.set()
                 return
 
@@ -450,14 +423,12 @@ class FleetFrontend:
             try:
                 rest = await reader.readline()
             except ValueError:  # line beyond the stream limit
-                writer.write((json.dumps({
-                    "ok": False, "error": "request too large",
-                    "limit_bytes": MAX_REQUEST_BYTES}) + "\n").encode())
+                writer.write((json.dumps(too_large()) + "\n").encode())
                 await writer.drain()
                 return
             line = (pending + rest).decode("utf-8", errors="replace")
             pending = b""
-            if not line.strip():
+            if not line.strip():  # blank lines are skipped on TCP
                 if not rest:
                     return  # EOF
                 continue
@@ -473,75 +444,23 @@ class FleetFrontend:
     async def _handle_v1_line(self, line: str) -> Dict:
         """One v1 JSON-lines request routed through the fleet."""
         self.metrics.counter("v1_lines").inc()
-        if len(line) > MAX_REQUEST_BYTES:
-            return {"ok": False, "error": "request too large",
-                    "limit_bytes": MAX_REQUEST_BYTES, "got_bytes": len(line)}
-        try:
-            doc = json.loads(line)
-        except json.JSONDecodeError as exc:
-            return {"ok": False, "error": f"bad JSON: {exc}"}
-        if not isinstance(doc, dict):
-            return {"ok": False, "error": "request must be a JSON object"}
-        reply, _ = await self._handle_op(doc)
-        return reply
+        return await answer_line(self, line, FRONTEND_OPS)
 
     def serve_stdin(self, lines: Iterable[str], out: TextIO) -> int:
         """Drive the fleet from the v1 stdin/stdout loop (CLI compat).
 
         Runs on the caller's thread; each line is handed to the event loop
-        and the response written back as one JSON line, exactly like the
-        single-process ``repro serve``.
+        and answered by the same loop as the single-process ``repro serve``.
         """
         if self._loop is None:
             raise RuntimeError("frontend not started")
-        served = 0
-        for line in lines:
-            future = asyncio.run_coroutine_threadsafe(
-                self._handle_v1_line(line), self._loop)
-            result = future.result()
-            out.write(json.dumps(result) + "\n")
-            out.flush()
-            served += 1
-            if is_shutdown_ack(result):
-                break
-        return served
+        return serve_lines(lines, out, lambda line: (
+            asyncio.run_coroutine_threadsafe(
+                self._handle_v1_line(line), self._loop).result()))
 
     # ------------------------------------------------------------------
-    # operations
+    # operations (dispatched by FRONTEND_OPS, at the end of this module)
     # ------------------------------------------------------------------
-    async def _handle_op(self, doc: Dict) -> Tuple[Dict, bool]:
-        op = doc.get("op", "plan")
-        request_id = doc.get("id")
-        stop = False
-        try:
-            if op == "hello":
-                reply = negotiate(doc, role="frontend", server=self.name)
-            elif op == "ping":
-                reply = {"ok": True, "server": self.name,
-                         "shards": [n for n, _, _ in self._shard_addrs]}
-            elif op == "plan":
-                reply = await self._serve_item(doc)
-            elif op == "plan_batch":
-                reply = await self._serve_batch(doc)
-            elif op == "warm":
-                reply = await self._serve_warm(doc)
-            elif op in ("stats", "fleet_stats"):
-                reply = await self._fleet_stats()
-            elif op == "trace":
-                reply = await self._fleet_trace()
-            elif op == "shutdown":
-                reply = await self._shutdown_shards()
-                stop = True
-            else:
-                reply = {"ok": False, "error": f"unknown op {op!r}",
-                         "known_ops": sorted(set(FRONTEND_OPS) |
-                                             set(KNOWN_OPS))}
-        except Exception as exc:  # a bad request must not kill the frontend
-            reply = {"ok": False, "error": str(exc)}
-        if request_id is not None:
-            reply.setdefault("id", request_id)
-        return reply, stop
-
     # -- plan items ----------------------------------------------------
     def _parse_item(self, doc: Dict) -> str:
         """Validate a plan document and return its fingerprint (blocking)."""
@@ -551,13 +470,9 @@ class FleetFrontend:
     def _shed_doc(self, decision: Decision, start_ns: int,
                   fingerprint: Optional[str] = None) -> Dict:
         latency_ms = (time.perf_counter_ns() - start_ns) / 1e6
-        doc = {
-            "ok": False,
-            "error": "shed",
-            "reason": decision.reason,
-            "est_cost_ms": round(decision.est_cost_s * 1e3, 3),
-            "latency_ms": round(latency_ms, 3),
-        }
+        doc = refusal("shed", reason=decision.reason,
+                      est_cost_ms=round(decision.est_cost_s * 1e3, 3),
+                      latency_ms=round(latency_ms, 3))
         if fingerprint:
             doc["fingerprint"] = fingerprint
         return doc
@@ -567,6 +482,7 @@ class FleetFrontend:
         doc: Dict,
         reply: Dict,
         start_ns: int,
+        deadline_s: Optional[float],
         *,
         fingerprint: Optional[str] = None,
         trace_id: Optional[str] = None,
@@ -579,8 +495,6 @@ class FleetFrontend:
         agree about what happened.
         """
         latency_s = (time.perf_counter_ns() - start_ns) / 1e9
-        deadline_ms = doc.get("deadline_ms")
-        deadline_s = deadline_ms / 1e3 if deadline_ms is not None else None
         ok = bool(reply.get("ok"))
         deadline_met = (ok and latency_s <= deadline_s) \
             if deadline_s is not None else None
@@ -621,8 +535,11 @@ class FleetFrontend:
         """One plan item: admission → routing → dispatch → response."""
         start_ns = time.perf_counter_ns()
         self.metrics.counter("items").inc()
-        deadline_ms = doc.get("deadline_ms")
-        deadline_s = deadline_ms / 1e3 if deadline_ms is not None else None
+        try:
+            deadline_s = deadline_from_doc(doc)
+        except ValueError as exc:
+            return self._account_item(doc, refusal(str(exc)), start_ns, None,
+                                      action="invalid")
 
         # fast path: a deadline below any possible service time is shed
         # before the frontend spends a single model build on it
@@ -630,7 +547,7 @@ class FleetFrontend:
         if quick is not None:
             self.metrics.counter("shed_deadline").inc()
             return self._account_item(
-                doc, self._shed_doc(quick, start_ns), start_ns,
+                doc, self._shed_doc(quick, start_ns), start_ns, deadline_s,
                 action="quick_shed")
 
         loop = asyncio.get_running_loop()
@@ -639,7 +556,7 @@ class FleetFrontend:
                 None, self._parse_item, doc)
         except Exception as exc:
             return self._account_item(
-                doc, {"ok": False, "error": str(exc)}, start_ns,
+                doc, refusal(str(exc)), start_ns, deadline_s,
                 action="invalid")
 
         decision = self.admission.decide(
@@ -650,7 +567,8 @@ class FleetFrontend:
                 else "shed_deadline").inc()
             return self._account_item(
                 doc, self._shed_doc(decision, start_ns, fingerprint),
-                start_ns, fingerprint=fingerprint, action=decision.action)
+                start_ns, deadline_s, fingerprint=fingerprint,
+                action=decision.action)
         self.metrics.counter("admitted").inc()
 
         trace_id = doc.get("trace_id") or new_trace_id()
@@ -680,7 +598,7 @@ class FleetFrontend:
             model=doc.get("model"), action=decision.action,
         )
         return self._account_item(
-            doc, reply, start_ns, fingerprint=fingerprint,
+            doc, reply, start_ns, deadline_s, fingerprint=fingerprint,
             trace_id=trace_id, action=decision.action)
 
     async def _dispatcher(self) -> None:
@@ -693,11 +611,9 @@ class FleetFrontend:
             if (item.deadline_abs is not None
                     and loop.time() > item.deadline_abs):
                 self.metrics.counter("shed_late").inc()
-                item.future.set_result({
-                    "ok": False, "error": "shed",
-                    "reason": "deadline expired while queued",
-                    "fingerprint": item.fingerprint,
-                })
+                item.future.set_result(refusal(
+                    "shed", reason="deadline expired while queued",
+                    fingerprint=item.fingerprint))
                 continue
             reply = await self._dispatch_with_failover(item, loop)
             if not item.future.cancelled():
@@ -753,12 +669,10 @@ class FleetFrontend:
                 # shed rather than burn another shard on an expired item
                 self.metrics.counter("dispatch_timeouts").inc()
                 self.health.record_failure(shard, "timeout")
-                return {
-                    "ok": False, "error": "shed",
-                    "reason": f"deadline expired during dispatch "
-                              f"(shard {shard} unresponsive)",
-                    "shard": shard, "fingerprint": item.fingerprint,
-                }
+                return refusal(
+                    "shed", reason=f"deadline expired during dispatch "
+                                   f"(shard {shard} unresponsive)",
+                    shard=shard, fingerprint=item.fingerprint)
             except Exception as exc:
                 self.metrics.counter("route_errors").inc()
                 self.health.record_failure(shard, "request")
@@ -774,12 +688,8 @@ class FleetFrontend:
             if hop:
                 reply.setdefault("failover_from", item.shard)
             return reply
-        return {
-            "ok": False,
-            "error": f"no healthy shard available: {last_error}",
-            "tried": order,
-            "fingerprint": item.fingerprint,
-        }
+        return refusal(f"no healthy shard available: {last_error}",
+                       tried=order, fingerprint=item.fingerprint)
 
     # -- heartbeats ----------------------------------------------------
     async def _heartbeat_loop(self) -> None:
@@ -803,10 +713,7 @@ class FleetFrontend:
                 reply = await read_frame(reader, MAX_RESPONSE_FRAME_BYTES)
                 return bool(reply and reply.get("ok"))
             finally:
-                try:
-                    writer.close()
-                except RuntimeError:
-                    pass
+                _close_writer(writer)
 
         try:
             ok = await asyncio.wait_for(ping(), self.heartbeat_timeout_s)
@@ -823,27 +730,20 @@ class FleetFrontend:
         self.metrics.counter("batches").inc()
         items = doc.get("items")
         if not isinstance(items, list) or not items:
-            return {"ok": False, "error": "plan_batch needs a non-empty "
-                                          "'items' list"}
+            return refusal("plan_batch needs a non-empty 'items' list")
         if len(items) > MAX_BATCH_ITEMS:
-            return {"ok": False, "error": "batch too large",
-                    "limit_items": MAX_BATCH_ITEMS, "got_items": len(items)}
-        batch_deadline = doc.get("deadline_ms")
-        prepared = []
-        for item in items:
+            return refusal("batch too large", limit_items=MAX_BATCH_ITEMS,
+                           got_items=len(items))
+        deadline_from_doc(doc)  # refuse a bad batch deadline before fan-out
+        inherited = {} if doc.get("deadline_ms") is None \
+            else {"deadline_ms": doc["deadline_ms"]}
+
+        async def serve(item) -> Dict:
             if not isinstance(item, dict):
-                prepared.append({"__invalid__": True})
-                continue
-            merged = dict(item)
-            if batch_deadline is not None:
-                merged.setdefault("deadline_ms", batch_deadline)
-            prepared.append(merged)
-        results = await asyncio.gather(*[
-            self._serve_item(item) if "__invalid__" not in item
-            else _immediate({"ok": False,
-                             "error": "batch items must be JSON objects"})
-            for item in prepared
-        ])
+                return refusal("batch items must be JSON objects")
+            return await self._serve_item({**inherited, **item})
+
+        results = await asyncio.gather(*[serve(item) for item in items])
         latency_s = (time.perf_counter_ns() - start_ns) / 1e9
         self.metrics.histogram("batch_latency_s").observe(latency_s)
         succeeded = sum(1 for r in results if r.get("ok"))
@@ -859,8 +759,7 @@ class FleetFrontend:
     async def _serve_warm(self, doc: Dict) -> Dict:
         items = doc.get("items")
         if not isinstance(items, list) or not items:
-            return {"ok": False, "error": "warm needs a non-empty 'items' "
-                                          "list"}
+            return refusal("warm needs a non-empty 'items' list")
         results = await asyncio.gather(
             *[self._warm_item(item) for item in items])
         return {"ok": all(r.get("ok") for r in results),
@@ -869,14 +768,14 @@ class FleetFrontend:
     async def _warm_item(self, doc: Dict) -> Dict:
         """Plan on the owner, then replicate the entry to every peer."""
         if not isinstance(doc, dict):
-            return {"ok": False, "error": "warm items must be JSON objects"}
+            return refusal("warm items must be JSON objects")
         self.metrics.counter("warm_items").inc()
         loop = asyncio.get_running_loop()
         try:
             fingerprint = await loop.run_in_executor(
                 None, self._parse_item, doc)
         except Exception as exc:
-            return {"ok": False, "error": str(exc)}
+            return refusal(str(exc))
         owner = self.ring.owner(fingerprint)
         forwarded = {k: v for k, v in doc.items() if k not in ("op", "id")}
         forwarded.update(op="plan", include_plan=True,
@@ -884,26 +783,29 @@ class FleetFrontend:
         try:
             reply = await self._pools[owner].request(forwarded)
         except Exception as exc:
-            return {"ok": False, "shard": owner, "fingerprint": fingerprint,
-                    "error": str(exc)}
+            return refusal(str(exc), shard=owner, fingerprint=fingerprint)
         if not reply.get("ok"):
             reply.setdefault("shard", owner)
             return reply
         self.admission.note_warm(fingerprint)
+        # peers store the plan under the key the owner computed, which is
+        # not always the routing key: a shard substitutes its default
+        # profile before it fingerprints (``serve --profile``)
+        stored_key = reply["fingerprint"]
         plan_doc = reply.get("plan")
         replicated = 0
         if plan_doc is not None:
             peers = [name for name in self._pools if name != owner]
             acks = await asyncio.gather(*[
                 self._pools[peer].request({
-                    "op": "cache_put", "fingerprint": fingerprint,
+                    "op": "cache_put", "fingerprint": stored_key,
                     "plan": plan_doc})
                 for peer in peers
             ], return_exceptions=True)
             replicated = sum(1 for ack in acks
                              if isinstance(ack, dict) and ack.get("ok"))
             self.metrics.counter("replicated_puts").inc(replicated)
-        return {"ok": True, "fingerprint": fingerprint, "shard": owner,
+        return {"ok": True, "fingerprint": stored_key, "shard": owner,
                 "source": reply.get("source"),
                 "cache_hit": reply.get("cache_hit"),
                 "replicated": replicated}
@@ -978,5 +880,17 @@ class FleetFrontend:
             self._thread.join()
 
 
-async def _immediate(doc: Dict) -> Dict:
-    return doc
+#: the ops the frontend answers, on v2 frames and v1 lines alike, and who
+#: answers each
+FRONTEND_OPS = {
+    "hello": lambda fe, doc: negotiate(doc, role="frontend", server=fe.name),
+    "ping": lambda fe, doc: {"ok": True, "server": fe.name,
+                             "shards": [n for n, _, _ in fe._shard_addrs]},
+    "plan": FleetFrontend._serve_item,
+    "plan_batch": FleetFrontend._serve_batch,
+    "warm": FleetFrontend._serve_warm,
+    "stats": lambda fe, doc: fe._fleet_stats(),
+    "fleet_stats": lambda fe, doc: fe._fleet_stats(),
+    "trace": lambda fe, doc: fe._fleet_trace(),
+    "shutdown": lambda fe, doc: fe._shutdown_shards(),
+}

@@ -40,30 +40,24 @@ from ..obs import telemetry as telemetry_store
 from ..obs.logging import get_logger, set_log_context
 from ..obs.tracing import tracer
 from ..service.cache import PlanCache
-from ..service.server import request_from_doc, response_to_doc
+from ..service.server import (
+    MAX_REQUEST_BYTES,
+    answer_doc,
+    drain_ack,
+    is_shutdown_ack,
+    plan_response,
+    refusal,
+    response_to_doc,
+    run_sync,
+    too_large,
+)
 from ..service.service import PlanService
 from .chaos import ChaosController, ChaosSpec
 from .retry import RetryPolicy
 from .ring import HashRing
-from .wire import (
-    FrameError,
-    FrameTooLarge,
-    MAX_REQUEST_FRAME_BYTES,
-    negotiate,
-    recv_frame,
-    send_frame,
-)
+from .wire import FrameError, FrameTooLarge, negotiate, recv_frame, send_frame
 
 log = get_logger("repro.fleet.shard")
-
-#: ops a shard answers; the frontend speaks exactly this set
-SHARD_OPS = ("hello", "ping", "plan", "cache_put", "stats", "trace",
-             "shutdown")
-
-#: fault-injection ops, refused unless the shard runs with a chaos
-#: controller (``serve --chaos`` / ``REPRO_CHAOS``): a production shard
-#: cannot be killed or frozen over the wire
-CHAOS_OPS = ("chaos_kill", "chaos_freeze")
 
 
 class _ShardRequestHandler(socketserver.BaseRequestHandler):
@@ -82,13 +76,11 @@ class _ShardRequestHandler(socketserver.BaseRequestHandler):
             if shard.killed:  # a dead shard accepts nothing, answers less
                 return
             try:
-                doc = recv_frame(sock, max_bytes=MAX_REQUEST_FRAME_BYTES)
+                doc = recv_frame(sock, max_bytes=MAX_REQUEST_BYTES)
             except FrameTooLarge as exc:
                 try:
-                    send_frame(sock, {
-                        "ok": False, "error": "request too large",
-                        "limit_bytes": exc.limit, "got_bytes": exc.declared,
-                    }, chaos=shard.chaos)
+                    send_frame(sock, too_large(exc.declared),
+                               chaos=shard.chaos)
                 except OSError:
                     pass
                 return  # stream is desynchronized past a refused frame
@@ -204,51 +196,12 @@ class ShardServer:
         frozen_for = self._frozen_until - time.monotonic()
         if frozen_for > 0:  # chaos freeze: the shard stops answering
             time.sleep(frozen_for)
-        op = doc.get("op", "plan")
-        request_id = doc.get("id")
-        stop = False
-        try:
-            if op in CHAOS_OPS:
-                return self._handle_chaos_op(op, doc, request_id)
-            if op == "hello":
-                reply = negotiate(doc, role="shard", server=self.name)
-            elif op == "ping":
-                reply = {"ok": True, "shard": self.name}
-            elif op == "plan":
-                reply = self._handle_plan(doc)
-            elif op == "cache_put":
-                reply = self._handle_cache_put(doc)
-            elif op == "stats":
-                stats = self.service.snapshot()
-                if self.chaos is not None:
-                    stats["chaos"] = self.chaos.snapshot()
-                reply = {"ok": True, "shard": self.name, "stats": stats}
-            elif op == "trace":
-                spans = [dict(span.as_dict(), process=f"shard-{self.name}")
-                         for span in tracer.drain()]
-                reply = {"ok": True, "shard": self.name, "spans": spans}
-            elif op == "shutdown":
-                pending = self.service.pending_jobs()
-                self.service.drain()
-                reply = {"ok": True, "op": "shutdown", "shard": self.name,
-                         "drained_jobs": pending}
-                stop = True
-            else:
-                reply = {"ok": False, "shard": self.name,
-                         "error": f"unknown op {op!r}",
-                         "known_ops": list(SHARD_OPS)}
-        except Exception as exc:  # one bad request must not kill the shard
-            reply = {"ok": False, "shard": self.name, "error": str(exc)}
-        if request_id is not None:
-            reply.setdefault("id", request_id)
-        return reply, stop
+        reply = run_sync(answer_doc(self, doc, SHARD_OPS, shard=self.name))
+        return reply, reply is None or is_shutdown_ack(reply)
 
     def _handle_plan(self, doc: Dict) -> Dict:
-        deadline_ms = doc.get("deadline_ms")
-        deadline_s = deadline_ms / 1e3 if deadline_ms is not None else None
-        request = request_from_doc(doc)
-        response = self.service.plan(
-            request, deadline_s=deadline_s, trace_id=doc.get("trace_id"))
+        response = plan_response(self.service, doc,
+                                 trace_id=doc.get("trace_id"))
         reply = response_to_doc(response)
         reply["shard"] = self.name
         if doc.get("include_plan"):
@@ -266,16 +219,25 @@ class ShardServer:
         return {"ok": True, "shard": self.name, "stored": True,
                 "fingerprint": fingerprint}
 
-    def _handle_chaos_op(self, op: str, doc: Dict,
-                         request_id) -> Tuple[Optional[Dict], bool]:
-        """Scripted shard faults; refused without an active controller."""
+    def _handle_stats(self, doc: Dict) -> Dict:
+        stats = self.service.snapshot()
+        if self.chaos is not None:
+            stats["chaos"] = self.chaos.snapshot()
+        return {"ok": True, "shard": self.name, "stats": stats}
+
+    def _handle_trace(self, doc: Dict) -> Dict:
+        spans = [dict(span.as_dict(), process=f"shard-{self.name}")
+                 for span in tracer.drain()]
+        return {"ok": True, "shard": self.name, "spans": spans}
+
+
+    def _handle_chaos_op(self, doc: Dict) -> Optional[Dict]:
+        """Scripted shard faults; refused without a chaos controller, so a
+        production shard cannot be killed or frozen over the wire."""
         if self.chaos is None:
-            reply = {"ok": False, "shard": self.name,
-                     "error": "chaos not enabled on this shard"}
-            if request_id is not None:
-                reply["id"] = request_id
-            return reply, False
-        if op == "chaos_kill":
+            return refusal("chaos not enabled on this shard",
+                           shard=self.name)
+        if doc["op"] == "chaos_kill":
             log.warning("chaos kill", extra={
                 "event": "chaos_kill", "shard": self.name,
                 "hard_exit": self._hard_exit})
@@ -286,16 +248,13 @@ class ShardServer:
             self.killed = True
             self.request_stop()
             self._sever_connections()
-            return None, True
+            return None
         seconds = float(doc.get("seconds", 1.0))
         self._frozen_until = time.monotonic() + seconds
         log.warning("chaos freeze", extra={
             "event": "chaos_freeze", "shard": self.name,
             "seconds": seconds})
-        reply = {"ok": True, "shard": self.name, "frozen_s": seconds}
-        if request_id is not None:
-            reply["id"] = request_id
-        return reply, False
+        return {"ok": True, "shard": self.name, "frozen_s": seconds}
 
     # ------------------------------------------------------------------
     # connection tracking (for the thread-mode chaos kill)
@@ -345,6 +304,23 @@ class ShardServer:
         self.request_stop()
         if self._serve_thread is not None:
             self._serve_thread.join(timeout)
+
+
+#: the ops a shard answers, and who answers each; the chaos ops are
+#: refused unless the shard runs with a chaos controller
+SHARD_OPS = {
+    "hello": lambda shard, doc: negotiate(doc, role="shard",
+                                          server=shard.name),
+    "ping": lambda shard, doc: {"ok": True, "shard": shard.name},
+    "plan": ShardServer._handle_plan,
+    "cache_put": ShardServer._handle_cache_put,
+    "stats": ShardServer._handle_stats,
+    "trace": ShardServer._handle_trace,
+    "shutdown": lambda shard, doc: dict(drain_ack(shard.service),
+                                        shard=shard.name),
+    "chaos_kill": ShardServer._handle_chaos_op,
+    "chaos_freeze": ShardServer._handle_chaos_op,
+}
 
 
 def run_shard(config: Dict, port_conn) -> None:

@@ -38,11 +38,6 @@ from typing import Any, Dict, Optional
 #: the protocol this module implements; carried in every hello
 PROTOCOL_VERSION = 2
 
-#: inbound request frames larger than this are rejected with
-#: ``{"ok": false, "error": "request too large"}`` — mirrors the v1 line
-#: cap in :data:`repro.service.server.MAX_REQUEST_BYTES`
-MAX_REQUEST_FRAME_BYTES = 1 << 20
-
 #: response frames can carry merged traces and serialized plans; clients
 #: accept up to this much before declaring the peer broken
 MAX_RESPONSE_FRAME_BYTES = 64 << 20

@@ -43,13 +43,26 @@ VGG_MODELS = ["vgg11", "vgg13", "vgg16", "vgg19"]
 RESNET_MODELS = ["resnet18", "resnet34", "resnet50"]
 
 
+#: network name -> registry key, so a stored plan, which names its network
+#: (``trident`` builds ``trident2``), loads back; filled on first need
+_BY_NETWORK_NAME: Dict[str, str] = {}
+
+
 def available_models() -> List[str]:
     return list(_BUILDERS)
 
 
 def build_model(name: str) -> Network:
-    """Construct a fresh network by registry name (case-insensitive)."""
+    """Construct a fresh network by registry name or by the name of the
+    network a registered builder produces (both case-insensitive)."""
     key = name.lower()
+    if key not in _BUILDERS:
+        if not _BY_NETWORK_NAME:
+            names: Dict[str, str] = {}
+            for registered, builder in _BUILDERS.items():
+                names.setdefault(builder().name.lower(), registered)
+            _BY_NETWORK_NAME.update(names)  # one call: readers see all or none
+        key = _BY_NETWORK_NAME.get(key, key)
     if key not in _BUILDERS:
         raise KeyError(f"unknown model {name!r}; available: {available_models()}")
     return _BUILDERS[key]()
@@ -62,3 +75,4 @@ def register_model(name: str, builder: Callable[[], Network],
     if key in _BUILDERS and not overwrite:
         raise KeyError(f"model {name!r} already registered")
     _BUILDERS[key] = builder
+    _BY_NETWORK_NAME.clear()

@@ -1,4 +1,5 @@
-"""JSON-lines front-end for the plan service (``python -m repro serve``).
+"""JSON-lines front-end for the plan service (``python -m repro serve``),
+and the request layer every server in this repo shares.
 
 One request per line on stdin, one JSON response per line on stdout — the
 simplest protocol that scripts, ``xargs`` and load generators can all drive.
@@ -9,34 +10,38 @@ A request looks like::
 Optional fields: ``scheme`` (default ``accpar``), ``levels``, ``dtype_bytes``,
 ``space`` (partition-type values, e.g. ``["I", "II"]``), ``ratio_mode``,
 ``backend`` (search backend name, e.g. ``"greedy"``), ``id`` (echoed back).
-Control operations use ``op``::
+``deadline_ms`` must be a finite number >= 0.  Control operations use
+``op``::
 
     {"op": "stats"}        -> metrics + cache counters
     {"op": "shutdown"}     -> drain and exit the loop
 
 Malformed input produces an ``{"ok": false, "error": ...}`` line and the
 loop keeps serving — a bad client must not take the service down.
+
+The fleet frontend and the shards answer through the same pieces: one
+line decoder (:func:`answer_line`), one op envelope (:func:`answer_doc`),
+one deadline rule (:func:`deadline_from_doc`) and one request cap
+(:data:`MAX_REQUEST_BYTES`).  Each server brings its own op table.
 """
 
 from __future__ import annotations
 
+import inspect
 import json
+import math
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, TextIO
+from typing import (Any, Awaitable, Callable, Dict, Iterable, List, Mapping,
+                    Optional, TextIO)
 
 from ..ioutil import atomic_write_text
 from .fingerprint import PlanRequest
 from .service import PlanResponse, PlanService
 
-#: request lines longer than this are rejected with a structured
-#: ``{"ok": false, "error": "request too large"}`` before JSON parsing —
-#: a misbehaving client cannot make the loop buffer unbounded input.
-#: Mirrors the v2 frame cap (repro.fleet.wire.MAX_REQUEST_FRAME_BYTES).
+#: requests larger than this many UTF-8 bytes — a v1 line or a v2 frame —
+#: are answered with :func:`too_large` before JSON parsing: a misbehaving
+#: client cannot make a server buffer or parse unbounded input
 MAX_REQUEST_BYTES = 1 << 20
-
-#: the control operations the JSON-lines protocol understands; anything
-#: else is answered with a structured unknown-op error naming this list
-KNOWN_OPS = ("plan", "stats", "shutdown")
 
 #: name of the stats snapshot dropped next to the disk cache tier; carries a
 #: leading underscore and a .txt suffix so the ``*.json`` entry glob skips it
@@ -46,6 +51,110 @@ STATS_SNAPSHOT_NAME = "_last_session_stats.txt"
 #: out of the ``*.json`` plan-entry glob); ``repro service-stats --format
 #: json/prometheus`` renders from this file offline
 STATS_SNAPSHOT_JSON_NAME = "_last_session_stats.meta"
+
+def refusal(error: str, **fields) -> Dict:
+    """A structured ``{"ok": false, "error": ...}`` reply."""
+    return {"ok": False, "error": error, **fields}
+
+
+def too_large(got_bytes: Optional[int] = None) -> Dict:
+    """The reply to a request line or frame over :data:`MAX_REQUEST_BYTES`."""
+    got = {} if got_bytes is None else {"got_bytes": got_bytes}
+    return refusal("request too large", limit_bytes=MAX_REQUEST_BYTES, **got)
+
+
+def deadline_from_doc(doc: Dict) -> Optional[float]:
+    """``doc["deadline_ms"]`` in seconds; None when the field is absent.
+
+    Anything but a finite number >= 0 is refused with a ``ValueError``
+    naming the field, before it can reach a timer or a priority queue.
+    0 is legal: "whatever is cached right now, else the fallback".
+    """
+    value = doc.get("deadline_ms")
+    if value is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not math.isfinite(value) or value < 0:
+        raise ValueError(
+            f"'deadline_ms' must be a finite number >= 0, got {value!r}")
+    return value / 1e3
+
+
+async def answer_doc(owner: Any, doc: Dict, ops: Mapping[str, Callable],
+                     **error_fields) -> Optional[Dict]:
+    """The op envelope every server shares.
+
+    ``ops`` maps an op to ``handler(owner, doc)``, which returns the reply
+    or, on the asyncio frontend, an awaitable of it.  An unknown op gets
+    the table's op names, a handler exception becomes an error reply with
+    ``error_fields``, ``id`` is echoed, and a None reply (the shard's chaos
+    kill: silence) stays None.
+    """
+    op = doc.get("op", "plan")
+    handler = ops.get(op) if isinstance(op, str) else None
+    try:
+        if handler is None:
+            reply = refusal(f"unknown op {op!r}", known_ops=sorted(ops),
+                            **error_fields)
+        else:
+            reply = handler(owner, doc)
+            if inspect.isawaitable(reply):
+                reply = await reply
+    except Exception as exc:  # a bad request must not take a server down
+        reply = refusal(str(exc), **error_fields)
+    if reply is not None and doc.get("id") is not None:
+        reply["id"] = doc["id"]
+    return reply
+
+
+async def answer_line(owner: Any, line: str,
+                      ops: Mapping[str, Callable]) -> Dict:
+    """The v1 line decoder: a line over the byte cap, a blank line, bad
+    JSON or a non-object is refused; a request goes to :func:`answer_doc`."""
+    size = len(line.encode("utf-8", "surrogatepass"))
+    if size > MAX_REQUEST_BYTES:
+        return too_large(size)
+    text = line.strip()
+    if not text:
+        return refusal("empty request line")
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        return refusal(f"bad JSON: {exc}")
+    if not isinstance(doc, dict):
+        return refusal("request must be a JSON object")
+    return await answer_doc(owner, doc, ops)
+
+
+def run_sync(coro: Awaitable):
+    """Run :func:`answer_doc` over a synchronous op table: with no
+    awaitable handler it finishes on its first step, no event loop needed."""
+    try:
+        coro.send(None)
+    except StopIteration as done:
+        return done.value
+    coro.close()
+    raise RuntimeError("a synchronous op handler tried to suspend")
+
+
+def is_shutdown_ack(result: Dict) -> bool:
+    """True for the response document that ends a serving loop."""
+    return bool(result.get("ok")) and result.get("op") == "shutdown"
+
+
+def serve_lines(lines: Iterable[str], out: TextIO,
+                answer: Callable[[str], Dict]) -> int:
+    """The v1 JSON-lines loop of ``repro serve`` and the fleet's stdin mode:
+    one reply line per line, until a shutdown ack or EOF; returns the count."""
+    served = 0
+    for line in lines:
+        result = answer(line)
+        out.write(json.dumps(result) + "\n")
+        out.flush()
+        served += 1
+        if is_shutdown_ack(result):
+            break
+    return served
 
 
 def request_from_doc(doc: Dict) -> PlanRequest:
@@ -124,6 +233,38 @@ def response_to_doc(response: PlanResponse) -> Dict:
     }
 
 
+def plan_response(service: PlanService, doc: Dict,
+                  trace_id: Optional[str] = None) -> PlanResponse:
+    """Serve one ``plan`` document: its deadline, its request, the plan."""
+    deadline_s = deadline_from_doc(doc)
+    return service.plan(request_from_doc(doc), deadline_s=deadline_s,
+                        trace_id=trace_id)
+
+
+def drain_ack(service: PlanService) -> Dict:
+    """Finish every in-flight job, then acknowledge a ``shutdown``."""
+    pending = service.pending_jobs()
+    service.drain()
+    return {"ok": True, "op": "shutdown", "drained_jobs": pending}
+
+
+def _shutdown(service: PlanService, doc: Dict) -> Dict:
+    ack = drain_ack(service)
+    write_stats_snapshot(service)
+    return ack
+
+
+#: the ops ``repro serve`` answers, and who answers each
+SERVE_OPS = {
+    "plan": lambda service, doc: response_to_doc(plan_response(service, doc)),
+    "stats": lambda service, doc: {"ok": True, "stats": service.snapshot()},
+    "shutdown": _shutdown,
+}
+
+#: the op names of :data:`SERVE_OPS`, quoted by :func:`request_from_doc`
+KNOWN_OPS = tuple(SERVE_OPS)
+
+
 def handle_line(service: PlanService, line: str) -> Dict:
     """Process one request line into one response document.
 
@@ -134,48 +275,7 @@ def handle_line(service: PlanService, line: str) -> Dict:
     reads the ack knows its plans are durable.  The serving loop stops
     after writing that ack.
     """
-    if len(line) > MAX_REQUEST_BYTES:
-        return {"ok": False, "error": "request too large",
-                "limit_bytes": MAX_REQUEST_BYTES, "got_bytes": len(line)}
-    text = line.strip()
-    if not text:
-        return {"ok": False, "error": "empty request line"}
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        return {"ok": False, "error": f"bad JSON: {exc}"}
-    if not isinstance(doc, dict):
-        return {"ok": False, "error": "request must be a JSON object"}
-
-    op = doc.get("op", "plan")
-    request_id = doc.get("id")
-    try:
-        if op == "shutdown":
-            pending = service.pending_jobs()
-            service.drain()
-            write_stats_snapshot(service)
-            result: Dict = {"ok": True, "op": "shutdown",
-                            "drained_jobs": pending}
-        elif op == "stats":
-            result = {"ok": True, "stats": service.snapshot()}
-        elif op == "plan":
-            deadline_ms = doc.get("deadline_ms")
-            deadline_s = deadline_ms / 1e3 if deadline_ms is not None else None
-            response = service.plan(request_from_doc(doc), deadline_s=deadline_s)
-            result = response_to_doc(response)
-        else:
-            result = {"ok": False, "error": f"unknown op {op!r}",
-                      "known_ops": list(KNOWN_OPS)}
-    except Exception as exc:  # a bad request must not kill the loop
-        result = {"ok": False, "error": str(exc)}
-    if request_id is not None:
-        result["id"] = request_id
-    return result
-
-
-def is_shutdown_ack(result: Dict) -> bool:
-    """True for the response document that ends a serving loop."""
-    return bool(result.get("ok")) and result.get("op") == "shutdown"
+    return run_sync(answer_line(service, line, SERVE_OPS))
 
 
 def serve_loop(service: PlanService, lines: Iterable[str], out: TextIO) -> int:
@@ -186,14 +286,7 @@ def serve_loop(service: PlanService, lines: Iterable[str], out: TextIO) -> int:
     the ack every plan — including background refinements racing the
     shutdown — has been written to the disk cache.
     """
-    served = 0
-    for line in lines:
-        result = handle_line(service, line)
-        out.write(json.dumps(result) + "\n")
-        out.flush()
-        served += 1
-        if is_shutdown_ack(result):
-            return served
+    served = serve_lines(lines, out, lambda line: handle_line(service, line))
     service.drain()
     write_stats_snapshot(service)
     return served

@@ -20,14 +20,11 @@ from repro.fleet import (
     ShardSupervisor,
 )
 from repro.fleet.admission import DEGRADE, Decision
-from repro.fleet.wire import (
-    MAX_REQUEST_FRAME_BYTES,
-    recv_frame,
-    send_frame,
-)
+from repro.fleet.frontend import FRONTEND_OPS
+from repro.fleet.wire import recv_frame, send_frame
 from repro.obs import chrome_trace_from_dicts, tracer
 from repro.plan.diff import plan_diff
-from repro.service.server import request_from_doc
+from repro.service.server import MAX_REQUEST_BYTES, request_from_doc
 from repro.service.service import PlanService
 
 #: a small array keeps cold planning fast enough for tight test loops
@@ -187,11 +184,11 @@ class TestProtocol:
         sock = socket.create_connection(("127.0.0.1", frontend.port), 5.0)
         sock.settimeout(5.0)
         # declare a frame bigger than the request cap; send no body
-        sock.sendall(struct.pack(">I", MAX_REQUEST_FRAME_BYTES + 1))
+        sock.sendall(struct.pack(">I", MAX_REQUEST_BYTES + 1))
         reply = recv_frame(sock)
         assert reply == {"ok": False, "error": "request too large",
-                         "limit_bytes": MAX_REQUEST_FRAME_BYTES,
-                         "got_bytes": MAX_REQUEST_FRAME_BYTES + 1}
+                         "limit_bytes": MAX_REQUEST_BYTES,
+                         "got_bytes": MAX_REQUEST_BYTES + 1}
         sock.close()
 
     def test_future_protocol_version_refused(self, fleet):
@@ -210,6 +207,7 @@ class TestProtocol:
         assert not reply["ok"]
         assert "plan_batch" in reply["known_ops"]
         assert "warm" in reply["known_ops"]
+        assert reply["known_ops"] == sorted(FRONTEND_OPS)
 
     def test_request_id_echoed(self, fleet):
         _, _, client = fleet

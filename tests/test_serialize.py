@@ -100,6 +100,17 @@ class TestRoundTrip:
         plan_from_dict(data, network_builder=builder)
         assert calls == ["alexnet"]
 
+    def test_network_named_apart_from_its_registry_key(self, tmp_path):
+        # trident() names its network "trident2": the stored name must
+        # still resolve through the registry
+        planned = AccParPlanner(heterogeneous_array(2, 2)).plan(
+            build_model("trident"), batch=32)
+        assert planned.network_name == "trident2"
+        path = tmp_path / "trident.json"
+        save_plan(planned, path)
+        reloaded = load_plan(path)
+        assert plan_to_dict(reloaded) == plan_to_dict(planned)
+
 
 class TestVerifyPlanned:
     def test_fresh_plan_verifies_clean(self, planned):

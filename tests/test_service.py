@@ -87,6 +87,16 @@ class TestDiskTier:
             # the disk hit was promoted: the next lookup is a memory hit
             assert second.plan(request_alexnet).source == "memory"
 
+    def test_disk_roundtrip_of_a_network_named_apart_from_its_model(
+            self, tmp_path, array):
+        # the trident model's network is named "trident2"
+        request = PlanRequest(model="trident", array=array, batch=32)
+        with PlanService(cache=PlanCache(disk_dir=tmp_path)) as first:
+            assert first.plan(request).source == "planned"
+        with PlanService(cache=PlanCache(disk_dir=tmp_path)) as second:
+            assert second.plan(request).source == "disk"
+            assert second.cache.stats.disk_errors == 0
+
     def test_corrupt_disk_entry_is_a_miss(self, tmp_path, request_alexnet):
         key = request_alexnet.fingerprint()
         (tmp_path / f"{key}.json").write_text("{not json")
