@@ -49,46 +49,25 @@ from .experiments.figures import (
 )
 from .experiments.harness import sweep
 from .experiments.reporting import format_speedup_table
-from .hardware.accelerator import AcceleratorGroup, AcceleratorSpec, make_group
+from .hardware import presets
+from .hardware.accelerator import AcceleratorGroup
 from .hardware.cluster import describe_tree
 from .hardware.profile import ProfileError
-from .hardware.presets import TPU_V2, TPU_V3, heterogeneous_array, homogeneous_array
 from .models.registry import available_models, build_model
 from .plan import available_backends, plan_diff
 from .sim.executor import evaluate
-
-_KNOWN_SPECS = {"tpu-v2": TPU_V2, "tpu-v3": TPU_V3}
 
 #: default disk tier for the plan service commands (serve / warm / service-stats)
 DEFAULT_CACHE_DIR = ".plan-cache"
 
 
 def parse_array(text: str) -> AcceleratorGroup:
-    """Parse an array spec: 'hetero', 'homo', or 'name:count,name:count'."""
-    key = text.strip().lower()
-    if key in ("hetero", "heterogeneous"):
-        return heterogeneous_array()
-    if key in ("homo", "homogeneous"):
-        return homogeneous_array()
-    members: List[AcceleratorSpec] = []
-    for part in key.split(","):
-        if ":" not in part:
-            raise argparse.ArgumentTypeError(
-                f"bad array component {part!r}; expected name:count"
-            )
-        name, count_text = part.split(":", 1)
-        if name not in _KNOWN_SPECS:
-            raise argparse.ArgumentTypeError(
-                f"unknown accelerator {name!r}; known: {sorted(_KNOWN_SPECS)}"
-            )
-        try:
-            count = int(count_text)
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(f"bad count in {part!r}") from exc
-        members.extend(make_group(_KNOWN_SPECS[name], count).members)
-    if not members:
-        raise argparse.ArgumentTypeError(f"empty array spec {text!r}")
-    return AcceleratorGroup(tuple(members))
+    """``--array``: :func:`repro.hardware.presets.parse_array`, with its
+    ``ValueError`` turned into an argparse usage error."""
+    try:
+        return presets.parse_array(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -376,13 +355,11 @@ def _load_profile_arg(args):
     The analytic profile normalizes to None — it *is* the default — so
     downstream code has a single spelling for "peak rates".
     """
-    value = getattr(args, "profile", None)
-    if not value:
-        return None
     from .hardware.profile import resolve_profile
+    from .service.fingerprint import canonical_profile
 
-    profile = resolve_profile(value)
-    return None if getattr(profile, "is_analytic", False) else profile
+    value = getattr(args, "profile", None)
+    return canonical_profile(resolve_profile(value)) if value else None
 
 
 def _cmd_plan(args) -> int:
@@ -565,10 +542,10 @@ def _cmd_serve(args) -> int:
         from .obs.slo import SLOConfig
         SLOConfig.parse(slo)
     # resolve the profile up front so a broken file fails fast in both the
-    # single-process and fleet paths (fleet shards re-load it from the path)
+    # single-process and fleet paths
     default_profile = _load_profile_arg(args)
     if args.shards:
-        return _cmd_serve_fleet(args)
+        return _cmd_serve_fleet(args, default_profile)
     telemetry = None
     if getattr(args, "telemetry_dir", None):
         from .obs import telemetry as telemetry_store
@@ -585,13 +562,14 @@ def _cmd_serve(args) -> int:
     return 0
 
 
-def _cmd_serve_fleet(args) -> int:
+def _cmd_serve_fleet(args, default_profile) -> int:
     """Fleet mode: N shards behind the asyncio frontend (see docs/serving.md).
 
     With ``--port`` the frontend listens on TCP (v2 frames, with the v1
     JSON-lines sniff) until a shutdown op arrives; without it the frontend
     still comes up but requests are read from stdin and answered on stdout,
     exactly like the single-process loop — the fleet as a drop-in upgrade.
+    ``--profile`` is the frontend's default profile; shards hold none.
     """
     from .fleet import FleetFrontend, ShardSupervisor
     from .obs.tracing import tracer
@@ -629,7 +607,6 @@ def _cmd_serve_fleet(args) -> int:
                      and args.shard_mode == "process"),
         telemetry_dir=telemetry_dir,
         slo=slo,
-        profile_path=getattr(args, "profile", None),
     )
     with supervisor:
         frontend = FleetFrontend(
@@ -641,6 +618,7 @@ def _cmd_serve_fleet(args) -> int:
             retry=retry,
             slo=slo,
             telemetry=frontend_telemetry,
+            default_profile=default_profile,
         )
         with frontend:
             shard_list = ", ".join(
@@ -697,18 +675,14 @@ def _cmd_warm(args) -> int:
 def _cmd_warm_fleet(args, models: List[str]) -> int:
     """Warm a running fleet: plan on each owner, replicate to every shard."""
     from .fleet import FleetClient
+    from .hardware.profile import profile_to_doc
 
     profile = _load_profile_arg(args)
-    profile_doc = None
-    if profile is not None:
-        from .hardware.profile import profile_to_doc
-
-        profile_doc = profile_to_doc(profile)
     items = [
         {"model": m, "array": args.array, "batch": args.batch,
          "scheme": args.scheme, "levels": args.levels,
          "backend": args.backend,
-         **({"profile": profile_doc} if profile_doc is not None else {})}
+         "profile": profile_to_doc(profile) if profile else None}
         for m in models
     ]
     with FleetClient(args.host, args.port) as client:

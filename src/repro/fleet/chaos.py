@@ -43,6 +43,8 @@ import threading
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
+from ..specstr import parse_spec
+
 #: environment variable carrying a chaos spec string for process-wide
 #: installation (the CLI's ``serve --chaos`` sets the same thing up)
 CHAOS_ENV = "REPRO_CHAOS"
@@ -75,22 +77,8 @@ class ChaosSpec:
     @classmethod
     def parse(cls, text: str) -> "ChaosSpec":
         """Parse ``"seed=42,drop=0.1,delay=0.2,delay_ms=50,corrupt=0.05"``."""
-        values: Dict[str, float] = {}
-        for part in text.split(","):
-            part = part.strip()
-            if not part:
-                continue
-            key, sep, raw = part.partition("=")
-            key = key.strip()
-            if not sep or key not in cls._FIELDS:
-                raise ChaosSpecError(
-                    f"bad chaos spec entry {part!r}; known keys: "
-                    f"{', '.join(cls._FIELDS)}")
-            try:
-                values[key] = int(raw) if key == "seed" else float(raw)
-            except ValueError as exc:
-                raise ChaosSpecError(
-                    f"bad chaos spec value for {key}: {raw!r}") from exc
+        values = parse_spec(text, "chaos", dict(zip(cls._FIELDS, cls._FIELDS)),
+                            ChaosSpecError, types={"seed": int})
         return cls(**values)  # type: ignore[arg-type]
 
     def describe(self) -> str:

@@ -25,6 +25,9 @@ Request path for one batch item::
   ``cache_put`` frames to every peer shard, so one ``repro warm --port``
   run leaves the whole fleet hot (a shard join re-routes ~1/N of the
   keyspace; replicated entries mean those keys stay warm).
+* **One request identity** — the fleet's ``default_profile`` is applied
+  here, before fingerprinting, and forwarded inline: the routing key is
+  the key the owner caches and logs under.
 * **Cross-shard observability** — the frontend stamps every item with a
   trace id that the owning shard adopts (``PlanService.plan(...,
   trace_id=...)``), aggregates per-shard stats under shard-labelled
@@ -56,11 +59,13 @@ import threading
 import time
 from typing import Dict, Iterable, List, Optional, Sequence, TextIO, Tuple
 
+from ..hardware.profile import profile_to_doc
 from ..obs.logging import get_logger
 from ..obs import telemetry as telemetry_store
 from ..obs.registry import MetricsRegistry
 from ..obs.slo import SLOTracker
 from ..obs.tracing import new_trace_id, tracer
+from ..service.fingerprint import canonical_profile
 from ..service.server import (
     MAX_REQUEST_BYTES,
     answer_doc,
@@ -71,6 +76,7 @@ from ..service.server import (
     request_from_doc,
     serve_lines,
     too_large,
+    trace_id_from_doc,
 )
 from .admission import ADMIT, DEGRADE, AdmissionController, Decision
 from .health import HealthMonitor
@@ -249,7 +255,6 @@ class FleetFrontend:
         metrics: Optional[MetricsRegistry] = None,
         admission: Optional[AdmissionController] = None,
         links_per_shard: int = 2,
-        network_builder=None,
         ring: Optional[HashRing] = None,
         name: str = "frontend",
         retry: Optional[RetryPolicy] = None,
@@ -258,6 +263,7 @@ class FleetFrontend:
         failure_threshold: int = 3,
         slo=None,
         telemetry=None,
+        default_profile=None,
     ):
         if not shards:
             raise ValueError("a fleet needs at least one shard")
@@ -287,7 +293,9 @@ class FleetFrontend:
                 "shard recovered, rejoined the ring",
                 extra={"event": "shard_up", "shard": shard}),
         )
-        self._network_builder = network_builder
+        #: profile for items that do not pin one (``serve --shards N
+        #: --profile``); shards hold none, it travels inline
+        self.default_profile = canonical_profile(default_profile)
         self._host = host
         self._requested_port = port
         self.host: Optional[str] = None
@@ -462,10 +470,17 @@ class FleetFrontend:
     # operations (dispatched by FRONTEND_OPS, at the end of this module)
     # ------------------------------------------------------------------
     # -- plan items ----------------------------------------------------
-    def _parse_item(self, doc: Dict) -> str:
-        """Validate a plan document and return its fingerprint (blocking)."""
-        request = request_from_doc(doc)
-        return request.fingerprint(self._network_builder)
+    def _parse_item(self, doc: Dict) -> Tuple[str, Dict]:
+        """A plan item's fingerprint and the ``plan`` document that gives
+        its owner the same one (blocking: builds the network)."""
+        request = request_from_doc(doc).with_default_profile(
+            self.default_profile)
+        forwarded = {k: v for k, v in doc.items() if k not in ("op", "id")}
+        forwarded["op"] = "plan"
+        if request.profile is not None \
+                and request.profile is self.default_profile:
+            forwarded["profile"] = profile_to_doc(request.profile)
+        return request.fingerprint(), forwarded
 
     def _shed_doc(self, decision: Decision, start_ns: int,
                   fingerprint: Optional[str] = None) -> Dict:
@@ -537,6 +552,7 @@ class FleetFrontend:
         self.metrics.counter("items").inc()
         try:
             deadline_s = deadline_from_doc(doc)
+            trace_id = trace_id_from_doc(doc) or new_trace_id()
         except ValueError as exc:
             return self._account_item(doc, refusal(str(exc)), start_ns, None,
                                       action="invalid")
@@ -552,7 +568,7 @@ class FleetFrontend:
 
         loop = asyncio.get_running_loop()
         try:
-            fingerprint = await loop.run_in_executor(
+            fingerprint, forwarded = await loop.run_in_executor(
                 None, self._parse_item, doc)
         except Exception as exc:
             return self._account_item(
@@ -571,9 +587,6 @@ class FleetFrontend:
                 action=decision.action)
         self.metrics.counter("admitted").inc()
 
-        trace_id = doc.get("trace_id") or new_trace_id()
-        forwarded = {k: v for k, v in doc.items() if k not in ("op", "id")}
-        forwarded["op"] = "plan"
         forwarded["trace_id"] = trace_id
         if decision.action == DEGRADE:
             self.metrics.counter("degraded_pressure").inc()
@@ -772,14 +785,12 @@ class FleetFrontend:
         self.metrics.counter("warm_items").inc()
         loop = asyncio.get_running_loop()
         try:
-            fingerprint = await loop.run_in_executor(
+            fingerprint, forwarded = await loop.run_in_executor(
                 None, self._parse_item, doc)
         except Exception as exc:
             return refusal(str(exc))
         owner = self.ring.owner(fingerprint)
-        forwarded = {k: v for k, v in doc.items() if k not in ("op", "id")}
-        forwarded.update(op="plan", include_plan=True,
-                         trace_id=new_trace_id())
+        forwarded.update(include_plan=True, trace_id=new_trace_id())
         try:
             reply = await self._pools[owner].request(forwarded)
         except Exception as exc:
@@ -788,24 +799,20 @@ class FleetFrontend:
             reply.setdefault("shard", owner)
             return reply
         self.admission.note_warm(fingerprint)
-        # peers store the plan under the key the owner computed, which is
-        # not always the routing key: a shard substitutes its default
-        # profile before it fingerprints (``serve --profile``)
-        stored_key = reply["fingerprint"]
         plan_doc = reply.get("plan")
         replicated = 0
         if plan_doc is not None:
             peers = [name for name in self._pools if name != owner]
             acks = await asyncio.gather(*[
                 self._pools[peer].request({
-                    "op": "cache_put", "fingerprint": stored_key,
+                    "op": "cache_put", "fingerprint": fingerprint,
                     "plan": plan_doc})
                 for peer in peers
             ], return_exceptions=True)
             replicated = sum(1 for ack in acks
                              if isinstance(ack, dict) and ack.get("ok"))
             self.metrics.counter("replicated_puts").inc(replicated)
-        return {"ok": True, "fingerprint": stored_key, "shard": owner,
+        return {"ok": True, "fingerprint": fingerprint, "shard": owner,
                 "source": reply.get("source"),
                 "cache_hit": reply.get("cache_hit"),
                 "replicated": replicated}

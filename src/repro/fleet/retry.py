@@ -31,6 +31,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, TypeVar
 
+from ..specstr import parse_spec
 from .wire import FrameError
 
 T = TypeVar("T")
@@ -105,24 +106,8 @@ class RetryPolicy:
         """Parse ``"attempts=3,base=0.02,max=0.1,seed=0"`` (same spec
         shape as :meth:`ChaosSpec.parse <repro.fleet.chaos.ChaosSpec.parse>`;
         omitted keys keep the dataclass defaults)."""
-        values: dict = {}
-        for part in text.split(","):
-            part = part.strip()
-            if not part:
-                continue
-            key, sep, raw = part.partition("=")
-            key = key.strip()
-            field = cls._SPEC_KEYS.get(key)
-            if not sep or field is None:
-                raise RetryPolicyError(
-                    f"bad retry spec entry {part!r}; known keys: "
-                    f"{', '.join(cls._SPEC_KEYS)}")
-            try:
-                values[field] = (int(raw) if field in
-                                 ("max_attempts", "seed") else float(raw))
-            except ValueError as exc:
-                raise RetryPolicyError(
-                    f"bad retry spec value for {key}: {raw!r}") from exc
+        values = parse_spec(text, "retry", cls._SPEC_KEYS, RetryPolicyError,
+                            types={"max_attempts": int, "seed": int})
         try:
             return cls(**values)
         except ValueError as exc:

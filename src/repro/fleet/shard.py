@@ -112,7 +112,12 @@ class _ShardTCPServer(socketserver.ThreadingTCPServer):
 
 
 class ShardServer:
-    """A plan service behind a threaded TCP server speaking wire v2."""
+    """A plan service behind a threaded TCP server speaking wire v2.
+
+    A shard holds no default profile: the frontend applies the fleet's
+    before it routes and forwards it inline, so the key a shard caches
+    under is the key the frontend routed by.
+    """
 
     def __init__(
         self,
@@ -129,7 +134,6 @@ class ShardServer:
         hard_exit: bool = False,
         telemetry_dir=None,
         slo=None,
-        profile_path=None,
     ):
         self.name = str(name)
         # in thread mode several shards share one process, so each shard
@@ -139,14 +143,6 @@ class ShardServer:
         telemetry = None
         if telemetry_dir is not None:
             telemetry = telemetry_store.TelemetryWriter(telemetry_dir)
-        # profile travels as a *path* (a primitive: pickles through spawn,
-        # same pattern as the chaos/slo spec strings); every shard loads
-        # the same calibrated rates and prices its plans with them
-        default_profile = None
-        if profile_path:
-            from ..hardware.profile import load_profile
-
-            default_profile = load_profile(profile_path)
         self.service = PlanService(
             cache=PlanCache(capacity=capacity, disk_dir=cache_dir),
             workers=workers,
@@ -154,7 +150,6 @@ class ShardServer:
             slo=slo,
             telemetry=telemetry,
             telemetry_labels={"shard": str(name)},
-            default_profile=default_profile,
         )
         if trace:
             tracer.enable()
@@ -200,8 +195,7 @@ class ShardServer:
         return reply, reply is None or is_shutdown_ack(reply)
 
     def _handle_plan(self, doc: Dict) -> Dict:
-        response = plan_response(self.service, doc,
-                                 trace_id=doc.get("trace_id"))
+        response = plan_response(self.service, doc)
         reply = response_to_doc(response)
         reply["shard"] = self.name
         if doc.get("include_plan"):
@@ -326,30 +320,21 @@ SHARD_OPS = {
 def run_shard(config: Dict, port_conn) -> None:
     """Process entrypoint: build a shard, report its port, serve forever.
 
-    ``config`` is a plain dict of primitives so the function works under
-    every multiprocessing start method (spawn pickles it).
+    ``config`` holds :class:`ShardServer`'s arguments as primitives (the
+    chaos and SLO specs as strings) so the function works under every
+    multiprocessing start method (spawn pickles it).
     """
+    config = dict(config)
     # every JSON log line this process emits carries its shard name, so
     # logs join the {shard="n"} metric series without per-call-site extras
     set_log_context(shard=str(config["name"]))
-    if config.get("telemetry_dir"):
+    telemetry_dir = config.pop("telemetry_dir", None)
+    if telemetry_dir:
         # process-wide: the service, planner and sim producers in this
         # process all share one writer appending to the shard's directory
-        telemetry_store.install(config["telemetry_dir"])
-    server = ShardServer(
-        config["name"],
-        host=config.get("host", "127.0.0.1"),
-        port=config.get("port", 0),
-        cache_dir=config.get("cache_dir"),
-        capacity=config.get("capacity", 128),
-        workers=config.get("workers"),
-        fallback_backend=config.get("fallback_backend", "greedy"),
-        trace=config.get("trace", False),
-        chaos=config.get("chaos"),  # a spec string: pickles under spawn
-        hard_exit=True,  # chaos_kill in a real process is a real crash
-        slo=config.get("slo"),  # a spec string: pickles under spawn
-        profile_path=config.get("profile_path"),
-    )
+        telemetry_store.install(telemetry_dir)
+    # chaos_kill in a real process is a real crash
+    server = ShardServer(**config, hard_exit=True)
     port_conn.send(server.port)
     port_conn.close()
     server.serve_forever()
@@ -445,7 +430,6 @@ class ShardSupervisor:
         chaos: Optional[str] = None,
         telemetry_dir=None,
         slo: Optional[str] = None,
-        profile_path=None,
         restart: bool = False,
         max_restarts: int = 5,
         restart_backoff: Optional[RetryPolicy] = None,
@@ -474,9 +458,6 @@ class ShardSupervisor:
         self.telemetry_dir = Path(telemetry_dir) if telemetry_dir else None
         #: SLO spec *string*, same pickling rationale as ``chaos``
         self.slo = slo
-        #: calibrated-profile JSON *path*, same pickling rationale; every
-        #: shard loads it as its service's default profile
-        self.profile_path = str(profile_path) if profile_path else None
         self.restart = restart
         self.max_restarts = max_restarts
         self.restart_backoff = restart_backoff or RetryPolicy(
@@ -492,15 +473,17 @@ class ShardSupervisor:
         self._monitor_stop = threading.Event()
         self._handles_lock = threading.Lock()
 
-    def _shard_cache_dir(self, name: str) -> Optional[str]:
-        if self.cache_dir is None:
-            return None
-        return str(self.cache_dir / f"shard-{name}")
+    def _shard_config(self, name: str) -> Dict:
+        """Shard ``name``'s :class:`ShardServer` arguments, as primitives."""
+        def subdir(root: Optional[Path]) -> Optional[str]:
+            return None if root is None else str(root / f"shard-{name}")
 
-    def _shard_telemetry_dir(self, name: str) -> Optional[str]:
-        if self.telemetry_dir is None:
-            return None
-        return str(self.telemetry_dir / f"shard-{name}")
+        return {"name": name, "host": self.host,
+                "cache_dir": subdir(self.cache_dir),
+                "capacity": self.capacity, "workers": self.workers,
+                "fallback_backend": self.fallback_backend,
+                "trace": self.trace, "chaos": self.chaos,
+                "telemetry_dir": subdir(self.telemetry_dir), "slo": self.slo}
 
     def start(self) -> List[ShardHandle]:
         if self.handles:
@@ -521,15 +504,9 @@ class ShardSupervisor:
         return self.handles
 
     def _start_one(self, name: str, port: int = 0) -> ShardHandle:
+        config = self._shard_config(name)
         if self.mode == "thread":
-            server = ShardServer(
-                name, host=self.host, cache_dir=self._shard_cache_dir(name),
-                capacity=self.capacity, workers=self.workers,
-                fallback_backend=self.fallback_backend, trace=self.trace,
-                chaos=self.chaos,
-                telemetry_dir=self._shard_telemetry_dir(name),
-                slo=self.slo,
-                profile_path=self.profile_path)
+            server = ShardServer(**config)
             server.start_background()
             return ShardHandle(name, server.host, server.port, "thread",
                                server=server)
@@ -537,20 +514,7 @@ class ShardSupervisor:
         # state (fork while worker pools run is a deadlock lottery)
         ctx = multiprocessing.get_context("spawn")
         parent_conn, child_conn = ctx.Pipe(duplex=False)
-        config = {
-            "name": name,
-            "host": self.host,
-            "port": port,
-            "cache_dir": self._shard_cache_dir(name),
-            "capacity": self.capacity,
-            "workers": self.workers,
-            "fallback_backend": self.fallback_backend,
-            "trace": self.trace,
-            "chaos": self.chaos,
-            "telemetry_dir": self._shard_telemetry_dir(name),
-            "slo": self.slo,
-            "profile_path": self.profile_path,
-        }
+        config["port"] = port
         process = ctx.Process(target=run_shard, args=(config, child_conn),
                               name=f"repro-shard-{name}", daemon=True)
         process.start()

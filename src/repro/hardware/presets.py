@@ -13,6 +13,8 @@ bit units.
 
 from __future__ import annotations
 
+from typing import List, Tuple
+
 from .accelerator import AcceleratorSpec, AcceleratorGroup, make_group, merge_groups
 
 GB = 1e9
@@ -41,6 +43,11 @@ KNOWN_SPECS = {
     TPU_V3.name: TPU_V3,
 }
 
+#: the most boards an array string may name: 16x the paper's 256-board
+#: array.  Building and fingerprinting an array is linear in its size, so
+#: one short request string must not be able to ask for millions of boards
+MAX_ARRAY_SIZE = 4096
+
 #: bfloat16, "Google's 16-bit floating point data format for training"
 BFLOAT16_BYTES = 2
 
@@ -56,3 +63,39 @@ def heterogeneous_array(n_v2: int = 128, n_v3: int = 128) -> AcceleratorGroup:
 def homogeneous_array(n: int = 128) -> AcceleratorGroup:
     """The Section 6.3 array: 128 TPU-v3 boards."""
     return make_group(TPU_V3, n)
+
+
+def parse_array(text: str) -> AcceleratorGroup:
+    """Parse an array spec: 'hetero', 'homo', or 'name:count,name:count'.
+
+    Names resolve through :data:`KNOWN_SPECS`.  A malformed spec, or one
+    naming more than :data:`MAX_ARRAY_SIZE` boards, raises ``ValueError``
+    before any board is built.
+    """
+    key = text.strip().lower()
+    if key in ("hetero", "heterogeneous"):
+        return heterogeneous_array()
+    if key in ("homo", "homogeneous"):
+        return homogeneous_array()
+    parts: List[Tuple[AcceleratorSpec, int]] = []
+    for part in key.split(","):
+        if ":" not in part:
+            raise ValueError(
+                f"bad array component {part!r}; expected name:count")
+        name, count_text = part.split(":", 1)
+        if name not in KNOWN_SPECS:
+            raise ValueError(
+                f"unknown accelerator {name!r}; known: {sorted(KNOWN_SPECS)}")
+        try:
+            count = int(count_text)
+        except ValueError as exc:
+            raise ValueError(f"bad count in {part!r}") from exc
+        if count <= 0:
+            raise ValueError(f"count must be positive in {part!r}")
+        parts.append((KNOWN_SPECS[name], count))
+    total = sum(count for _, count in parts)
+    if total > MAX_ARRAY_SIZE:
+        raise ValueError(
+            f"array {text!r} names {total} boards; at most "
+            f"{MAX_ARRAY_SIZE} are allowed")
+    return merge_groups(*(make_group(spec, count) for spec, count in parts))

@@ -37,6 +37,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Deque, Dict, Optional, Tuple
 
+from ..specstr import parse_spec
+
 
 class SLOSpecError(ValueError):
     """An SLO spec string does not parse."""
@@ -74,22 +76,8 @@ class SLOConfig:
     @classmethod
     def parse(cls, text: str) -> "SLOConfig":
         """Parse ``"latency_ms=250,objective=0.99,window_fast_s=300"``."""
-        values: Dict[str, float] = {}
-        for part in text.split(","):
-            part = part.strip()
-            if not part:
-                continue
-            key, sep, raw = part.partition("=")
-            key = key.strip()
-            if not sep or key not in cls._FIELDS:
-                raise SLOSpecError(
-                    f"bad slo spec entry {part!r}; known keys: "
-                    f"{', '.join(cls._FIELDS)}")
-            try:
-                values[key] = float(raw)
-            except ValueError as exc:
-                raise SLOSpecError(
-                    f"bad slo spec value for {key}: {raw!r}") from exc
+        values = parse_spec(text, "slo", dict(zip(cls._FIELDS, cls._FIELDS)),
+                            SLOSpecError)
         return cls(**values)  # type: ignore[arg-type]
 
     def describe(self) -> str:

@@ -351,7 +351,7 @@ def summarize(directory) -> Dict[str, Any]:
             for fault in event.get("faults", ()):
                 chaos_faults[fault] = chaos_faults.get(fault, 0) + 1
             trace_id = event.get("trace_id")
-            if trace_id:
+            if trace_id and isinstance(trace_id, str):  # a store is input
                 chaos_trace_ids.add(trace_id)
 
     for event in events:
@@ -364,8 +364,9 @@ def summarize(directory) -> Dict[str, Any]:
             if shard is not None:
                 shards[str(shard)] = shards.get(str(shard), 0) + 1
             latency_ms = event.get("latency_ms")
-            injected = bool(event.get("chaos")) or \
-                (event.get("trace_id") in chaos_trace_ids)
+            trace_id = event.get("trace_id")
+            injected = bool(event.get("chaos")) or (
+                isinstance(trace_id, str) and trace_id in chaos_trace_ids)
             if isinstance(latency_ms, (int, float)):
                 (injected_latencies if injected else latencies).append(
                     float(latency_ms))

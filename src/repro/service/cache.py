@@ -25,15 +25,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 from ..core.planner import PlannedExecution
 from ..core.serialize import plan_from_dict, plan_to_dict
-from ..graph.network import Network
 from ..ioutil import atomic_write_text
 from ..obs.logging import get_logger
 
@@ -41,6 +41,17 @@ log = get_logger("repro.service.cache")
 
 #: suffix appended to a quarantined disk entry's filename
 CORRUPT_SUFFIX = ".corrupt"
+
+#: the only key the cache accepts, a :func:`repro.digest.stable_digest`:
+#: keys become disk file names, so ``../x`` or ``/abs`` must never pass
+_KEY_RE = re.compile(r"[0-9a-f]{16}")
+
+
+def _check_key(key) -> None:
+    """Raise ``ValueError`` unless ``key`` is a fingerprint."""
+    if not isinstance(key, str) or _KEY_RE.fullmatch(key) is None:
+        raise ValueError(
+            f"cache key must be 16 lowercase hex characters, got {key!r}")
 
 
 def entry_checksum(document: dict) -> str:
@@ -90,17 +101,11 @@ class PlanCache:
     repeated lookups pay the JSON parse once.
     """
 
-    def __init__(
-        self,
-        capacity: int = 128,
-        disk_dir=None,
-        network_builder: Optional[Callable[[str], Network]] = None,
-    ):
+    def __init__(self, capacity: int = 128, disk_dir=None):
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
         self.disk_dir = Path(disk_dir) if disk_dir is not None else None
-        self._network_builder = network_builder
         self._entries: "OrderedDict[str, PlannedExecution]" = OrderedDict()
         self._lock = threading.Lock()
         self.stats = CacheStats()
@@ -125,6 +130,7 @@ class PlanCache:
 
     def get_with_tier(self, key: str) -> Tuple[Optional[PlannedExecution], Optional[str]]:
         """Look up a fingerprint; returns ``(plan, "memory"|"disk"|None)``."""
+        _check_key(key)
         with self._lock:
             planned = self._entries.get(key)
             if planned is not None:
@@ -147,6 +153,7 @@ class PlanCache:
     # insert
     # ------------------------------------------------------------------
     def put(self, key: str, planned: PlannedExecution, persist: bool = True) -> None:
+        _check_key(key)
         with self._lock:
             self.stats.puts += 1
             self._insert(key, planned)
@@ -189,7 +196,7 @@ class PlanCache:
             self._quarantine(path, "checksum mismatch")
             return None
         try:
-            return plan_from_dict(data, network_builder=self._network_builder)
+            return plan_from_dict(data)
         except (ValueError, KeyError, OSError):
             # a well-formed entry this build cannot use (future schema,
             # unknown model): degrade to a miss and leave the file — a

@@ -15,8 +15,9 @@ cache entry at once rather than silently serving stale plans.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 from ..digest import stable_digest
 from ..graph.network import Network
@@ -30,6 +31,14 @@ from ..models.registry import build_model
 #: v3: hardware profile in the payload — calibrated and analytic plans
 #: must never share a cache entry)
 REQUEST_SCHEMA_VERSION = 3
+
+
+def canonical_profile(profile):
+    """``profile``, or None for the analytic profile: it IS the default,
+    so both spellings share one fingerprint (and one cache entry)."""
+    if profile is not None and getattr(profile, "is_analytic", False):
+        return None
+    return profile
 
 
 @dataclass(frozen=True)
@@ -65,27 +74,31 @@ class PlanRequest:
             raise ValueError("dtype_bytes must be positive")
         if self.space is not None:
             object.__setattr__(self, "space", tuple(self.space))
-        if self.profile is not None and getattr(self.profile, "is_analytic", False):
-            # the analytic profile IS the default; canonicalize so both
-            # spellings share one fingerprint (and one cache entry)
-            object.__setattr__(self, "profile", None)
+        object.__setattr__(self, "profile", canonical_profile(self.profile))
 
-    def build_network(
-        self, network_builder: Optional[Callable[[str], Network]] = None
-    ) -> Network:
-        builder = network_builder or build_model
-        return builder(self.model)
+    def with_default_profile(
+        self, profile: Optional[CalibratedProfile]
+    ) -> "PlanRequest":
+        """This request, priced under ``profile`` unless it pins its own:
+        the one default-profile rule of ``repro serve --profile`` and the
+        fleet frontend, applied before fingerprinting."""
+        if profile is None or self.profile is not None:
+            return self
+        return dataclasses.replace(self, profile=profile)
 
-    def fingerprint(
-        self, network_builder: Optional[Callable[[str], Network]] = None
-    ) -> str:
+    def build_network(self) -> Network:
+        return build_model(self.model)
+
+    def fingerprint(self, network: Optional[Network] = None) -> str:
         """The cache key: a stable hash over the full request content.
 
-        The model is resolved through the registry (or ``network_builder``)
-        and its structural fingerprint is hashed, so re-registering a model
-        name with a different architecture can never hit a stale entry.
+        The model's structural fingerprint is hashed, not just its name, so
+        re-registering a model name with a different architecture can never
+        hit a stale entry.  ``network`` is the request's already-built
+        model (:meth:`build_network`), for callers that plan with it too.
         """
-        network = self.build_network(network_builder)
+        if network is None:
+            network = self.build_network()
         return stable_digest(
             {
                 "schema": REQUEST_SCHEMA_VERSION,

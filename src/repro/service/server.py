@@ -9,9 +9,10 @@ A request looks like::
 
 Optional fields: ``scheme`` (default ``accpar``), ``levels``, ``dtype_bytes``,
 ``space`` (partition-type values, e.g. ``["I", "II"]``), ``ratio_mode``,
-``backend`` (search backend name, e.g. ``"greedy"``), ``id`` (echoed back).
-``deadline_ms`` must be a finite number >= 0.  Control operations use
-``op``::
+``backend`` (search backend name, e.g. ``"greedy"``), ``id`` (echoed back),
+``trace_id`` (adopted as the request's trace id).  ``deadline_ms`` must be
+a finite number >= 0 and ``trace_id`` a non-empty string.  Control
+operations use ``op``::
 
     {"op": "stats"}        -> metrics + cache counters
     {"op": "shutdown"}     -> drain and exit the loop
@@ -21,8 +22,9 @@ loop keeps serving — a bad client must not take the service down.
 
 The fleet frontend and the shards answer through the same pieces: one
 line decoder (:func:`answer_line`), one op envelope (:func:`answer_doc`),
-one deadline rule (:func:`deadline_from_doc`) and one request cap
-(:data:`MAX_REQUEST_BYTES`).  Each server brings its own op table.
+one deadline rule (:func:`deadline_from_doc`), one trace-id rule
+(:func:`trace_id_from_doc`) and one request cap (:data:`MAX_REQUEST_BYTES`).
+Each server brings its own op table.
 """
 
 from __future__ import annotations
@@ -34,6 +36,8 @@ from pathlib import Path
 from typing import (Any, Awaitable, Callable, Dict, Iterable, List, Mapping,
                     Optional, TextIO)
 
+from ..hardware.presets import parse_array
+from ..hardware.profile import profile_from_doc
 from ..ioutil import atomic_write_text
 from .fingerprint import PlanRequest
 from .service import PlanResponse, PlanService
@@ -78,6 +82,22 @@ def deadline_from_doc(doc: Dict) -> Optional[float]:
         raise ValueError(
             f"'deadline_ms' must be a finite number >= 0, got {value!r}")
     return value / 1e3
+
+
+def trace_id_from_doc(doc: Dict) -> Optional[str]:
+    """``doc["trace_id"]``; None when the field is absent.
+
+    Anything but a non-empty string is refused with a ``ValueError``
+    naming the field: a trace id is a log, telemetry and join key, so a
+    list or an object must never become one.
+    """
+    value = doc.get("trace_id")
+    if value is None:
+        return None
+    if not isinstance(value, str) or not value:
+        raise ValueError(
+            f"'trace_id' must be a non-empty string, got {value!r}")
+    return value
 
 
 async def answer_doc(owner: Any, doc: Dict, ops: Mapping[str, Callable],
@@ -166,8 +186,6 @@ def request_from_doc(doc: Dict) -> PlanRequest:
     skip :func:`handle_line` — the fleet frontend routes documents through
     this function directly.
     """
-    from ..cli import parse_array  # deferred: the CLI imports this module
-
     op = doc.get("op", "plan")
     if op != "plan":
         raise ValueError(
@@ -185,16 +203,12 @@ def request_from_doc(doc: Dict) -> PlanRequest:
     # rejected at the protocol boundary, not inside a worker thread
     profile = doc.get("profile")
     if profile is not None and profile != "analytic":
-        from ..hardware.profile import profile_from_doc
-
         if not isinstance(profile, dict):
             raise ValueError(
                 "'profile' must be a repro.hardware.profile/v1 object, "
                 "\"analytic\" or null"
             )
         profile = profile_from_doc(profile)
-        if getattr(profile, "is_analytic", False):
-            profile = None
     else:
         profile = None
     return PlanRequest(
@@ -233,10 +247,10 @@ def response_to_doc(response: PlanResponse) -> Dict:
     }
 
 
-def plan_response(service: PlanService, doc: Dict,
-                  trace_id: Optional[str] = None) -> PlanResponse:
-    """Serve one ``plan`` document: its deadline, its request, the plan."""
+def plan_response(service: PlanService, doc: Dict) -> PlanResponse:
+    """Serve one ``plan`` document: its deadline, trace id, request, plan."""
     deadline_s = deadline_from_doc(doc)
+    trace_id = trace_id_from_doc(doc)
     return service.plan(request_from_doc(doc), deadline_s=deadline_s,
                         trace_id=trace_id)
 

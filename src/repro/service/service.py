@@ -20,14 +20,13 @@ plan twice.  All counters land in a :class:`~repro.obs.registry.MetricsRegistry`
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeout
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional
+from typing import Iterable, List, Optional
 
 from ..baselines import get_scheme
 from ..core.counters import planner_counters
@@ -42,7 +41,7 @@ from ..obs.registry import MetricsRegistry, render_prometheus
 from ..obs.slo import SLOTracker, render_slo_lines
 from ..obs.tracing import new_trace_id, tracer
 from .cache import PlanCache
-from .fingerprint import PlanRequest
+from .fingerprint import PlanRequest, canonical_profile
 from .singleflight import SingleFlight
 
 log = get_logger("repro.service")
@@ -118,7 +117,6 @@ class PlanService:
         cache: Optional[PlanCache] = None,
         workers: Optional[int] = None,
         metrics: Optional[MetricsRegistry] = None,
-        network_builder: Optional[Callable[[str], Network]] = None,
         slow_request_s: Optional[float] = None,
         fallback_backend: str = "greedy",
         slo=None,
@@ -128,14 +126,9 @@ class PlanService:
     ):
         self.cache = cache if cache is not None else PlanCache()
         #: hardware profile substituted into requests that do not pin one
-        #: (``serve --profile``).  Applied *before* fingerprinting, so the
-        #: cache keys — and the fleet's shard routing — always reflect the
-        #: rates that actually priced the plan.
-        self.default_profile = (
-            None if default_profile is None
-            or getattr(default_profile, "is_analytic", False)
-            else default_profile
-        )
+        #: (``serve --profile``), by :meth:`PlanRequest.with_default_profile`
+        #: — the rule the fleet frontend applies before it routes
+        self.default_profile = canonical_profile(default_profile)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         #: SLO accounting — ``slo`` may be an SLOTracker, an SLOConfig, a
         #: spec string ("latency_ms=250,objective=0.99") or None (defaults)
@@ -155,7 +148,6 @@ class PlanService:
         #: requests slower than this log a structured warning; defaults to
         #: the REPRO_SLOW_REQUEST_MS environment variable, then 1 s
         self.slow_request_s = slow_request_threshold_s(slow_request_s)
-        self._network_builder = network_builder
         self._flight = SingleFlight()
         self._pool = ThreadPoolExecutor(
             max_workers=workers or os.cpu_count() or 4,
@@ -202,13 +194,14 @@ class PlanService:
         self, request: PlanRequest, deadline_s: Optional[float], trace_id: str
     ) -> PlanResponse:
         start = time.perf_counter()
-        if self.default_profile is not None and request.profile is None:
-            # substitute before fingerprinting: a profiled service must key
-            # (and cache) its plans under the profile that priced them
-            request = dataclasses.replace(request, profile=self.default_profile)
+        request = request.with_default_profile(self.default_profile)
         self.metrics.counter("requests").inc()
         with tracer.span("service.fingerprint", category="service"):
-            key = request.fingerprint(self._network_builder)
+            # one build serves the key and, on a miss, the planner; a built
+            # Network is never mutated, so the exact job and a degraded
+            # fallback may plan on it concurrently
+            network = request.build_network()
+            key = request.fingerprint(network)
         after_fingerprint = time.perf_counter()
 
         with tracer.span("service.cache_lookup", category="service"):
@@ -224,7 +217,7 @@ class PlanService:
         self.metrics.counter("misses").inc()
         future, leader = self._flight.begin(key)
         if leader:
-            self._submit_exact(key, request, future, trace_id)
+            self._submit_exact(key, request, network, future, trace_id)
         else:
             self.metrics.counter("coalesced").inc()
 
@@ -234,14 +227,19 @@ class PlanService:
                 planned = future.result(timeout=deadline_s)
         except FutureTimeout:
             self.metrics.counter("degraded").inc()
+            # deliberately NOT cached: the background exact job owns the
+            # cache entry, so a degraded answer never masks the exact plan
             with tracer.span("service.degraded_fallback", category="service"):
-                planned = self._plan_degraded(request)
+                planned = self._run_planner(request, network,
+                                            self.fallback_backend)
             return self._respond(planned, key, "degraded", start, trace_id,
                                  degraded=True, coalesced=not leader,
                                  deadline_s=deadline_s, phases=phases)
         except Exception:
             self.metrics.counter("errors").inc()
-            self._observe_failure(request, key, start, trace_id, deadline_s)
+            self._observe(key, request.model, request.scheme,
+                          time.perf_counter() - start, trace_id, deadline_s,
+                          ok=False, source="error", outcome="error")
             raise
 
         source = "planned" if leader else "coalesced"
@@ -256,8 +254,8 @@ class PlanService:
     # ------------------------------------------------------------------
     # planning internals
     # ------------------------------------------------------------------
-    def _submit_exact(self, key: str, request: PlanRequest, future: Future,
-                      trace_id: str = "") -> None:
+    def _submit_exact(self, key: str, request: PlanRequest, network: Network,
+                      future: Future, trace_id: str = "") -> None:
         def job() -> None:
             # the worker thread inherits the requesting thread's trace id so
             # the exact-planning spans and logs correlate with the request
@@ -274,7 +272,7 @@ class PlanService:
                                      model=request.model,
                                      scheme=request.scheme,
                                      fingerprint=key):
-                        planned = self._plan_exact(request)
+                        planned = self._run_planner(request, network)
                     self.metrics.histogram("exact_plan_s").observe(
                         time.perf_counter() - t0
                     )
@@ -296,62 +294,47 @@ class PlanService:
         with self._pending_lock:
             self._pending.discard(fut)
 
-    def _plan_exact(self, request: PlanRequest) -> PlannedExecution:
+    def _run_planner(self, request: PlanRequest, network: Network,
+                     backend: Optional[str] = None) -> PlannedExecution:
+        """Plan ``request`` on its built ``network``; ``backend`` overrides
+        the search backend (the deadline fallback's ``fallback_backend``)."""
         planner = Planner(
             request.array,
-            build_scheme(request),
+            build_scheme(request, backend_override=backend),
             dtype_bytes=request.dtype_bytes,
             levels=request.levels,
         )
-        return planner.plan(request.build_network(self._network_builder),
-                            request.batch)
+        return planner.plan(network, request.batch)
 
-    def _plan_degraded(self, request: PlanRequest) -> PlannedExecution:
-        """The deadline fallback: same scheme, fallback search backend, inline.
-
-        Deliberately NOT cached — the background exact job owns the cache
-        entry, so a degraded answer can never mask the exact plan.
-        """
-        planner = Planner(
-            request.array,
-            build_scheme(request, backend_override=self.fallback_backend),
-            dtype_bytes=request.dtype_bytes,
-            levels=request.levels,
-        )
-        return planner.plan(request.build_network(self._network_builder),
-                            request.batch)
-
-    def _observe_failure(
-        self,
-        request: PlanRequest,
-        key: str,
-        start: float,
-        trace_id: str,
-        deadline_s: Optional[float],
-    ) -> None:
-        """SLO + telemetry accounting for the raising (error) path."""
-        latency = time.perf_counter() - start
-        deadline_met = False if deadline_s is not None else None
-        self.slo.observe(latency, ok=False, deadline_met=deadline_met)
+    def _observe(self, key: str, model: str, scheme: str, latency: float,
+                 trace_id: str, deadline_s: Optional[float], ok: bool,
+                 phases: Optional[tuple] = None, **fields) -> None:
+        """SLO + durable-telemetry accounting for one request, served
+        (``ok``) or raising; ``fields`` extend the ``request`` event."""
+        deadline_met = (ok and latency <= deadline_s) \
+            if deadline_s is not None else None
+        self.slo.observe(latency, ok=ok, deadline_met=deadline_met)
         t = self.telemetry
-        if t is not None and t.enabled:
-            event = {
-                "type": "request",
-                "component": "service",
-                "fingerprint": key,
-                "model": request.model,
-                "scheme": request.scheme,
-                "source": "error",
-                "outcome": "error",
-                "latency_ms": round(latency * 1e3, 3),
-                "trace_id": trace_id,
+        if t is None or not t.enabled:
+            return
+        event = {"type": "request", "component": "service",
+                 "fingerprint": key, "model": model, "scheme": scheme,
+                 **fields, "latency_ms": round(latency * 1e3, 3),
+                 "trace_id": trace_id}
+        if deadline_s is not None:
+            event["deadline_ms"] = round(deadline_s * 1e3, 3)
+            event["deadline_met"] = deadline_met
+        if phases is not None:
+            # span-derived breakdown without needing the tracer on:
+            # fingerprint / cache lookup / everything after (plan wait)
+            event["breakdown_ms"] = {
+                "fingerprint": round(phases[0] * 1e3, 3),
+                "cache_lookup": round(phases[1] * 1e3, 3),
+                "plan_wait": round(
+                    (latency - phases[0] - phases[1]) * 1e3, 3),
             }
-            if deadline_s is not None:
-                event["deadline_ms"] = round(deadline_s * 1e3, 3)
-                event["deadline_met"] = False
-            if self.telemetry_labels:
-                event.update(self.telemetry_labels)
-            t.record(event)
+        event.update(self.telemetry_labels)
+        t.record(event)
 
     def _respond(
         self,
@@ -362,44 +345,15 @@ class PlanService:
         trace_id: str,
         degraded: bool,
         coalesced: bool,
-        deadline_s: Optional[float] = None,
-        phases: Optional[tuple] = None,
+        deadline_s: Optional[float],
+        phases: tuple,
     ) -> PlanResponse:
         latency = time.perf_counter() - start
         self.metrics.histogram("request_latency_s").observe(latency)
-        deadline_met = (latency <= deadline_s) if deadline_s is not None \
-            else None
-        self.slo.observe(latency, ok=True, deadline_met=deadline_met)
-        t = self.telemetry
-        if t is not None and t.enabled:
-            event = {
-                "type": "request",
-                "component": "service",
-                "fingerprint": key,
-                "model": planned.network_name,
-                "scheme": planned.scheme,
-                "source": source,
-                "outcome": "degraded" if degraded else "ok",
-                "degraded": degraded,
-                "coalesced": coalesced,
-                "latency_ms": round(latency * 1e3, 3),
-                "trace_id": trace_id,
-            }
-            if deadline_s is not None:
-                event["deadline_ms"] = round(deadline_s * 1e3, 3)
-                event["deadline_met"] = deadline_met
-            if phases is not None:
-                # span-derived breakdown without needing the tracer on:
-                # fingerprint / cache lookup / everything after (plan wait)
-                event["breakdown_ms"] = {
-                    "fingerprint": round(phases[0] * 1e3, 3),
-                    "cache_lookup": round(phases[1] * 1e3, 3),
-                    "plan_wait": round(
-                        (latency - phases[0] - phases[1]) * 1e3, 3),
-                }
-            if self.telemetry_labels:
-                event.update(self.telemetry_labels)
-            t.record(event)
+        self._observe(key, planned.network_name, planned.scheme, latency,
+                      trace_id, deadline_s, ok=True, phases=phases,
+                      source=source, outcome="degraded" if degraded else "ok",
+                      degraded=degraded, coalesced=coalesced)
         if latency >= self.slow_request_s:
             self.metrics.counter("slow_requests").inc()
             log.warning(

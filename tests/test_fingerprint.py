@@ -130,7 +130,7 @@ class TestPlanRequestFingerprint:
             net.add(Linear("fc", 8, 4))
             return net
 
-        assert (self.request().fingerprint(builder)
+        assert (self.request().fingerprint(builder("alexnet"))
                 != self.request().fingerprint())
 
     def test_rejects_bad_batch(self):

@@ -14,15 +14,21 @@ import pathlib
 import pytest
 
 from repro.fleet import FleetClient, FleetFrontend, ShardServer, ShardSupervisor
+from repro.core.serialize import plan_to_dict
 from repro.fleet.shard import SHARD_OPS
-from repro.service import PlanService
+from repro.hardware.presets import MAX_ARRAY_SIZE
+from repro.hardware.profile import load_profile
+from repro.obs.telemetry import summarize
+from repro.service import PlanCache, PlanService
 from repro.service.server import (
     KNOWN_OPS,
     MAX_REQUEST_BYTES,
     SERVE_OPS,
     deadline_from_doc,
     handle_line,
+    request_from_doc,
     serve_loop,
+    trace_id_from_doc,
 )
 
 ARRAY = "tpu-v2:2,tpu-v3:2"
@@ -148,6 +154,141 @@ class TestDeadlineRule:
         assert reply["reason"] == "deadline below cache-hit service time"
 
 
+#: ``trace_id`` values no server may adopt
+HOSTILE_TRACE_IDS = [[1, 2], {"a": 1}, 7, True, ""]
+
+
+class TestTraceIdRule:
+    @pytest.mark.parametrize("value", HOSTILE_TRACE_IDS)
+    def test_rejected_values_name_the_field(self, value):
+        with pytest.raises(ValueError, match="trace_id"):
+            trace_id_from_doc({"trace_id": value})
+
+    def test_absent_or_string(self):
+        assert trace_id_from_doc({}) is None
+        assert trace_id_from_doc({"trace_id": None}) is None
+        assert trace_id_from_doc({"trace_id": "t-1"}) == "t-1"
+
+    def test_list_trace_id_refused_everywhere(self, service, shard, fleet):
+        """The probe frame: every entry point refuses it before planning."""
+        sup, frontend, client = fleet
+        doc = spec(trace_id=[1, 2], id="p")
+        replies = [handle_line(service, json.dumps(doc)),
+                   shard.handle_doc(doc)[0],
+                   client.request(dict(doc, op="plan"))]
+        for reply in replies:
+            assert reply["ok"] is False and reply["id"] == "p"
+            assert "trace_id" in reply["error"], reply
+        assert service.metrics.value("planner_runs") == 0
+        assert shard.service.metrics.value("planner_runs") == 0
+        assert frontend.metrics.snapshot()["counters"].get("admitted", 0) == 0
+        assert shard_planner_runs(sup) == 0
+
+    def test_string_trace_id_is_adopted_everywhere(self, service, shard,
+                                                   fleet):
+        _, _, client = fleet
+        doc = spec(trace_id="probe-1")
+        replies = [handle_line(service, json.dumps(doc)),
+                   shard.handle_doc(doc)[0], client.plan(doc)]
+        assert [r["trace_id"] for r in replies] == ["probe-1"] * 3
+
+    def test_summary_skips_a_list_trace_id(self, tmp_path):
+        events = [
+            {"type": "chaos", "faults": ["delay"], "trace_id": [1, 2]},
+            {"type": "request", "outcome": "ok", "latency_ms": 3.0,
+             "trace_id": [1, 2]},
+        ]
+        (tmp_path / "events-00000001.jsonl").write_text(
+            "".join(json.dumps(event) + "\n" for event in events))
+        summary = summarize(tmp_path)
+        assert summary["events"] == 2
+        # no usable join key: the request counts as organic
+        assert summary["requests"]["organic"]["count"] == 1
+        assert summary["requests"]["chaos_injected"]["count"] == 0
+
+
+class TestArrayCap:
+    @pytest.mark.parametrize("array", [
+        f"tpu-v3:{MAX_ARRAY_SIZE + 1}",
+        f"tpu-v2:{MAX_ARRAY_SIZE},tpu-v3:1",
+        # a negative count must not offset an oversized one
+        f"tpu-v3:{MAX_ARRAY_SIZE * 2},tpu-v2:-{MAX_ARRAY_SIZE * 2}",
+    ])
+    def test_request_from_doc_refuses_oversized_arrays(self, array):
+        with pytest.raises(ValueError):
+            request_from_doc({"model": "lenet", "array": array})
+
+    def test_cap_is_at_least_the_paper_array(self):
+        assert MAX_ARRAY_SIZE >= 256
+        request = request_from_doc({"model": "lenet",
+                                    "array": f"tpu-v3:{MAX_ARRAY_SIZE}"})
+        assert request.array.size == MAX_ARRAY_SIZE
+
+    def test_frontend_item_refused_before_queueing(self, fleet):
+        sup, frontend, client = fleet
+        reply = client.plan({"model": "lenet",
+                             "array": f"tpu-v3:{MAX_ARRAY_SIZE + 1}"})
+        assert reply["ok"] is False
+        assert str(MAX_ARRAY_SIZE) in reply["error"], reply
+        assert frontend.metrics.snapshot()["counters"].get("admitted", 0) == 0
+        assert shard_planner_runs(sup) == 0
+
+
+@pytest.fixture(scope="module")
+def lenet_plan():
+    with PlanService(workers=1) as svc:
+        return svc.plan(request_from_doc(spec())).planned
+
+
+@pytest.fixture
+def cache_shard(tmp_path):
+    server = ShardServer("c", cache_dir=tmp_path / "cache")
+    server.start_background()
+    yield server
+    server.stop()
+
+
+#: keys that are not fingerprints: a path out of the cache directory, an
+#: absolute path, nothing, and non-strings
+HOSTILE_KEYS = ["../escaped", "/tmp/escaped", "", 5, ["a"],
+                "0123456789ABCDEF", "0123456789abcdef0"]
+
+
+class TestCacheKeys:
+    @pytest.mark.parametrize("key", HOSTILE_KEYS)
+    def test_cache_refuses_non_fingerprint_keys(self, tmp_path, lenet_plan,
+                                                key):
+        cache = PlanCache(disk_dir=tmp_path / "cache")
+        with pytest.raises(ValueError, match="cache key"):
+            cache.put(key, lenet_plan)
+        with pytest.raises(ValueError, match="cache key"):
+            cache.get(key)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cache"]
+        assert list((tmp_path / "cache").iterdir()) == []
+
+    @pytest.mark.parametrize("key", ["../escaped", "ESCAPED"])
+    def test_shard_cache_put_stays_in_its_directory(self, tmp_path,
+                                                    cache_shard, lenet_plan,
+                                                    key):
+        for fingerprint in (key, str(tmp_path / "absolute")):
+            reply, stop = cache_shard.handle_doc({
+                "op": "cache_put", "fingerprint": fingerprint,
+                "plan": plan_to_dict(lenet_plan)})
+            assert reply["ok"] is False and stop is False
+            assert "cache key" in reply["error"], reply
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cache"]
+        assert list((tmp_path / "cache").iterdir()) == []
+
+    def test_shard_cache_put_accepts_a_fingerprint(self, tmp_path,
+                                                   cache_shard, lenet_plan):
+        reply, _ = cache_shard.handle_doc({
+            "op": "cache_put", "fingerprint": "0123456789abcdef",
+            "plan": plan_to_dict(lenet_plan)})
+        assert reply["ok"] and reply["stored"]
+        assert [p.name for p in (tmp_path / "cache").iterdir()] == [
+            "0123456789abcdef.json"]
+
+
 class TestLineDecoder:
     def test_blank_line_same_reply_from_both_stdin_loops(self, service,
                                                          fleet):
@@ -226,14 +367,15 @@ class TestOpTables:
 
 
 class TestWarmUnderProfile:
-    """Shards with a default profile key plans under the profiled
+    """A fleet with a default profile keys plans under the profiled
     fingerprint; warm replication must store the peer copy under it too."""
 
     def test_peer_holds_the_owners_key(self, tmp_path):
         doc = {"model": "alexnet", "array": ARRAY, "batch": 96}
-        with ShardSupervisor(2, cache_dir=tmp_path,
-                             profile_path=str(PROFILE)) as sup:
-            with FleetFrontend(sup.handles) as frontend, \
+        with ShardSupervisor(2, cache_dir=tmp_path) as sup:
+            with FleetFrontend(sup.handles,
+                               default_profile=load_profile(PROFILE)) \
+                    as frontend, \
                     FleetClient(port=frontend.port) as client:
                 warm = client.warm([doc])["items"][0]
                 assert warm["ok"] and warm["replicated"] == 1

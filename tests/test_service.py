@@ -259,13 +259,14 @@ def delay_exact_planning(service, seconds=0.25):
     """
     import time as _time
 
-    original = service._plan_exact
+    original = service._run_planner
 
-    def slowed(request):
-        _time.sleep(seconds)
-        return original(request)
+    def slowed(request, network, backend=None):
+        if backend is None:  # the exact job; the fallback stays fast
+            _time.sleep(seconds)
+        return original(request, network, backend)
 
-    service._plan_exact = slowed
+    service._run_planner = slowed
 
 
 class TestDeadline:
